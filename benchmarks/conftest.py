@@ -12,25 +12,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime import reproduce_table
+from repro.sweep import paper_tables_manifest, sweep_records, table_from_store
 
 
 @pytest.fixture(scope="session")
-def table3():
+def paper_records():
+    """Every cell of the published Tables 3–5 grids, swept once."""
+    return sweep_records(paper_tables_manifest())
+
+
+@pytest.fixture(scope="session")
+def table3(paper_records):
     """Full published grid of Table 3 (row partition)."""
-    return reproduce_table("table3")
+    return table_from_store(paper_records, "table3")
 
 
 @pytest.fixture(scope="session")
-def table4():
+def table4(paper_records):
     """Full published grid of Table 4 (column partition)."""
-    return reproduce_table("table4")
+    return table_from_store(paper_records, "table4")
 
 
 @pytest.fixture(scope="session")
-def table5():
+def table5(paper_records):
     """Full published grid of Table 5 (2-D mesh partition)."""
-    return reproduce_table("table5")
+    return table_from_store(paper_records, "table5")
 
 
 def print_paper_comparison(repro) -> None:

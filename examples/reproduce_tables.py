@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Reproduce the paper's Tables 3, 4 and 5 on the simulated SP2.
 
-Runs the full published grids (array sizes up to 2000², processor counts up
-to 64) through the SFC/CFS/ED schemes on the simulated machine with the SP2
-cost-model calibration and prints every measured cell next to the published
-number.  Finishes with a shape report: the fraction of cells in which each
+Sweeps the paper-tables manifest (array sizes up to 2000², processor counts
+up to 64) through the SFC/CFS/ED schemes on the simulated machine with the
+SP2 cost-model calibration into a temporary result store, and prints every
+measured cell next to the published number.  Finishes with a shape report: the fraction of cells in which each
 of the paper's claimed orderings holds.
 
 Run:  python examples/reproduce_tables.py [--quick]
@@ -14,23 +14,26 @@ Run:  python examples/reproduce_tables.py [--quick]
 import sys
 import time
 
-from repro.runtime import TABLE_SPECS, format_table, reproduce_table, shape_report
+from repro.runtime import TABLE3_SIZES, TABLE5_SIZES, format_table, shape_report
+from repro.sweep import paper_tables_manifest, sweep_records, table_from_store
 
 
 def main() -> None:
     quick = "--quick" in sys.argv
+    manifest = paper_tables_manifest(
+        sizes=[n for n in TABLE3_SIZES if n <= 800], proc_counts=(4, 16),
+        mesh_sizes=[n for n in TABLE5_SIZES if n <= 800], mesh_proc_counts=(4, 16),
+    ) if quick else paper_tables_manifest()
+    t0 = time.time()
+    records = sweep_records(manifest)
+    elapsed = time.time() - t0
+    print(f"swept {len(records)} cells in {elapsed:.1f}s wall")
     for table_id in ("table3", "table4", "table5"):
-        spec = TABLE_SPECS[table_id]
-        sizes = [n for n in spec.sizes if n <= 800] if quick else None
-        procs = spec.proc_counts[:2] if quick else None
-        t0 = time.time()
-        repro = reproduce_table(table_id, sizes=sizes, proc_counts=procs)
-        elapsed = time.time() - t0
+        repro = table_from_store(records, table_id)
         print(format_table(repro))
         report = shape_report(repro)
         print(
-            f"   shape report over {report['cells']} cells "
-            f"(simulated in {elapsed:.1f}s wall):"
+            f"   shape report over {report['cells']} cells:"
         )
         print(
             f"     T_dist ordering ED<CFS<SFC : "

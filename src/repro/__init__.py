@@ -28,7 +28,7 @@ from .core import CFSScheme, EDScheme, SFCScheme, SchemeResult, get_scheme
 from .machine import CostModel, Machine, Phase, sp2_cost_model
 from .model import ProblemSpec, predict
 from .partition import ColumnPartition, Mesh2DPartition, PartitionPlan, RowPartition
-from .runtime import reproduce_table, run_scheme
+from .runtime import run_scheme
 from .sparse import CCSMatrix, COOMatrix, CRSMatrix, random_sparse, spmv
 
 __version__ = "1.0.0"
@@ -53,7 +53,6 @@ __all__ = [
     "get_scheme",
     "predict",
     "random_sparse",
-    "reproduce_table",
     "run_scheme",
     "sp2_cost_model",
     "spmv",

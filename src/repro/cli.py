@@ -311,132 +311,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class FaultSpecError(SystemExit):
-    """Friendly one-line exit for a bad ``--faults`` argument."""
+class UsageError(SystemExit):
+    """Bad user input: one friendly ``error:`` line, exit status 2."""
 
     def __init__(self, message: str) -> None:
         print(f"error: {message}")
         super().__init__(2)
 
 
-class BackendError(SystemExit):
-    """Friendly one-line exit for a bad ``--backend`` argument."""
+def _load_spec(path, spec_type, what):
+    """Parse a JSON spec file (``--faults`` / ``--supervise``) or return None.
 
-    def __init__(self, message: str) -> None:
-        print(f"error: {message}")
-        super().__init__(2)
-
-
-def _resolve_backend(args):
-    """Validate ``--backend`` against the kernel registry or return None.
-
-    Mirrors the ``--faults`` convention: a typo'd backend name exits with
-    one friendly line (listing the real choices) instead of a traceback.
+    Missing files, malformed JSON, unknown spec keys and out-of-range
+    values all exit with a single friendly line instead of a traceback —
+    the file is user input, not programmer input.
     """
-    name = getattr(args, "backend", None)
-    if name is None:
-        return None
-    from .kernels import get_backend
-
-    try:
-        get_backend(name)
-    except ValueError as exc:
-        raise BackendError(str(exc))
-    return name
-
-
-class ExecutorError(SystemExit):
-    """Friendly one-line exit for a bad ``--executor`` argument."""
-
-    def __init__(self, message: str) -> None:
-        print(f"error: {message}")
-        super().__init__(2)
-
-
-def _resolve_executor(args):
-    """Validate ``--executor`` against the executor registry or return None."""
-    name = getattr(args, "executor", None)
-    if name is None:
-        return None
-    from .exec import get_executor
-
-    try:
-        get_executor(name)
-    except ValueError as exc:
-        raise ExecutorError(str(exc))
-    return name
-
-
-def _load_fault_spec(args):
-    """Parse ``--faults`` (a JSON FaultSpec path) or return None.
-
-    Malformed JSON, unknown spec keys and out-of-range values all exit
-    with a single friendly line instead of a traceback — the file is user
-    input, not programmer input.
-    """
-    if getattr(args, "faults", None) is None:
+    if path is None:
         return None
     import json
 
-    from .faults import FaultSpec
-
     try:
-        return FaultSpec.from_file(args.faults)
+        return spec_type.from_file(path)
     except FileNotFoundError:
-        raise FaultSpecError(f"fault spec {args.faults!r} does not exist")
+        raise UsageError(f"{what} {path!r} does not exist")
     except IsADirectoryError:
-        raise FaultSpecError(f"fault spec {args.faults!r} is a directory")
+        raise UsageError(f"{what} {path!r} is a directory")
     except json.JSONDecodeError as exc:
-        raise FaultSpecError(
-            f"fault spec {args.faults!r} is not valid JSON "
+        raise UsageError(
+            f"{what} {path!r} is not valid JSON "
             f"(line {exc.lineno}, column {exc.colno}: {exc.msg})"
         )
     except (TypeError, ValueError) as exc:
-        raise FaultSpecError(f"fault spec {args.faults!r} is invalid: {exc}")
+        raise UsageError(f"{what} {path!r} is invalid: {exc}")
 
 
-class SuperviseSpecError(SystemExit):
-    """Friendly one-line exit for a bad ``--supervise`` argument."""
-
-    def __init__(self, message: str) -> None:
-        print(f"error: {message}")
-        super().__init__(2)
+#: the smallest valid run: validates the options of commands that start
+#: no single run (placement, fault and supervision specs) like `run` does
+_ANY_RUN = {"scheme": "sfc", "n": 1, "n_procs": 1}
 
 
-def _load_supervise_spec(args, executor):
-    """Parse ``--supervise`` (a JSON SuperviseSpec path) or return None.
+def _request(args, **fields):
+    """``fields`` plus the command's fault/recovery/placement options as
+    one validated :class:`~repro.runtime.RunRequest`.
 
-    Mirrors ``--faults``: malformed JSON, unknown keys and out-of-range
-    values exit with one friendly line.  Supervision only means anything
-    on the process executor, so a spec without ``--executor process``
-    (or ``REPRO_EXECUTOR=process``) is rejected rather than silently
-    ignored.
+    The effective backend and executor — the flag, else
+    ``REPRO_KERNEL_BACKEND`` / ``REPRO_EXECUTOR`` — go through the same
+    validator as every other field, so a bad value from either source
+    exits with one line (:class:`UsageError`).
     """
-    if getattr(args, "supervise", None) is None:
-        return None
-    import json
-
     from .exec import SuperviseSpec, current_executor_name
+    from .faults import FaultSpec
+    from .kernels import current_backend_name
+    from .runtime import RequestError, RunRequest
 
-    effective = executor if executor is not None else current_executor_name()
-    if effective != "process":
-        raise SuperviseSpecError(
-            "--supervise needs the process executor (pass --executor "
-            f"process or set REPRO_EXECUTOR=process; current: {effective})"
-        )
+    recovery = getattr(args, "recovery", "off")
+    data = {
+        **fields,
+        "faults": _load_spec(getattr(args, "faults", None), FaultSpec, "fault spec"),
+        "fault_seed": getattr(args, "fault_seed", None),
+        "recovery": None if recovery == "off" else recovery,
+        "backend": getattr(args, "backend", None),
+        "executor": getattr(args, "executor", None),
+        "supervise": _load_spec(
+            getattr(args, "supervise", None), SuperviseSpec, "supervise spec"
+        ),
+    }
+    defaults = {"backend": current_backend_name(), "executor": current_executor_name()}
     try:
-        return SuperviseSpec.from_file(args.supervise)
-    except FileNotFoundError:
-        raise SuperviseSpecError(f"supervise spec {args.supervise!r} does not exist")
-    except IsADirectoryError:
-        raise SuperviseSpecError(f"supervise spec {args.supervise!r} is a directory")
-    except json.JSONDecodeError as exc:
-        raise SuperviseSpecError(
-            f"supervise spec {args.supervise!r} is not valid JSON "
-            f"(line {exc.lineno}, column {exc.colno}: {exc.msg})"
-        )
-    except (TypeError, ValueError) as exc:
-        raise SuperviseSpecError(f"supervise spec {args.supervise!r} is invalid: {exc}")
+        return RunRequest.from_dict(data, defaults=defaults)
+    except RequestError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _print_fault_summary(result) -> None:
@@ -448,28 +392,61 @@ def _print_fault_summary(result) -> None:
             print(f"      {phase}: {counters}")
 
 
-def _cmd_run(args) -> int:
+def _run_on_machine(request, matrix, obs):
+    """One run on a machine the caller keeps: ``--timeline`` renders its
+    trace after the rank workers are gone."""
     from .core import get_compression, get_scheme
-    from .exec import WorkerCrashError
-    from .machine import Machine, render_timeline
-    from .runtime import run_scheme, verify_all_schemes_agree
-    from .sparse import random_sparse
+    from .exec import use_supervision
+    from .faults import FaultInjector
+    from .machine import Machine
 
-    fault_spec = _load_fault_spec(args)
-    backend = _resolve_backend(args)
-    executor = _resolve_executor(args)
-    supervise_spec = _load_supervise_spec(args, executor)
-    recovery = None if args.recovery == "off" else args.recovery
-    if recovery is not None and fault_spec is None:
-        print("error: --recovery needs a fault plan (--faults SPEC.json)")
-        return 2
-    observe = any((args.trace_out, args.metrics_out, args.log_out))
-    matrix = random_sparse((args.n, args.n), args.sparse_ratio, seed=args.seed)
+    method = request.partition_method()
+    comp = get_compression(request.compression)
+    injector = (
+        FaultInjector(request.faults, seed=request.fault_seed)
+        if request.faults is not None
+        else None
+    )
+    machine = Machine(
+        request.n_procs, faults=injector, backend=request.backend,
+        executor=request.executor, obs=obs,
+    )
+    try:
+        with use_supervision(request.supervise):
+            if request.recovery is not None:
+                from .recovery import run_with_recovery
+
+                result = run_with_recovery(
+                    request.scheme, machine, matrix, method, comp,
+                    policy=request.recovery,
+                )
+            else:
+                plan = method.plan(matrix.shape, request.n_procs)
+                result = get_scheme(request.scheme).run(machine, matrix, plan, comp)
+    finally:
+        machine.shutdown()  # the trace survives for --timeline
+    return result, machine
+
+
+def _cmd_run(args) -> int:
+    from dataclasses import replace
+
+    from .exec import WorkerCrashError
+    from .machine import render_timeline
+    from .runtime import RunSession, verify_all_schemes_agree
+
     schemes = ["sfc", "cfs", "ed"] if args.scheme == "all" else [args.scheme]
+    base = _request(
+        args, scheme=schemes[0], n=args.n, n_procs=args.procs,
+        partition=args.partition, compression=args.compression,
+        sparse_ratio=args.sparse_ratio, seed=args.seed,
+    )
+    observe = any((args.trace_out, args.metrics_out, args.log_out))
     print(
         f"array {args.n}x{args.n}, s={args.sparse_ratio}, p={args.procs}, "
         f"{args.partition} partition, {args.compression.upper()} compression"
     )
+    fault_spec = base.faults
     if fault_spec is not None:
         print(
             f"fault injection on (seed {args.fault_seed}): "
@@ -479,82 +456,43 @@ def _cmd_run(args) -> int:
     results = []
     last_machine = None
     last_obs = None
-    for scheme in schemes:
-        obs = None
-        if observe:
-            from .obs import Observability
+    with RunSession(reuse_machines=False) as session:
+        matrix = session.matrix_for(base)
+        for scheme in schemes:
+            request = replace(base, scheme=scheme)
+            obs = None
+            if observe:
+                from .obs import Observability
 
-            # one recorder per scheme run (the verification contract
-            # compares against exactly one machine's trace)
-            obs = Observability(
-                scheme=scheme, n=args.n, sparse_ratio=args.sparse_ratio,
-                partition=args.partition, compression=args.compression,
-                seed=args.seed,
-            )
-            last_obs = obs
-        try:
-            if args.timeline:
-                from .core.registry import get_partition
-                from .exec import use_supervision
-                from .faults import FaultInjector
-
-                plan = get_partition(args.partition).plan(matrix.shape, args.procs)
-                injector = (
-                    FaultInjector(fault_spec, seed=args.fault_seed)
-                    if fault_spec is not None
-                    else None
+                # one recorder per scheme run (the verification contract
+                # compares against exactly one machine's trace)
+                obs = Observability(
+                    scheme=scheme, n=args.n, sparse_ratio=args.sparse_ratio,
+                    partition=args.partition, compression=args.compression,
+                    seed=args.seed,
                 )
-                last_machine = Machine(
-                    args.procs, faults=injector, backend=backend,
-                    executor=executor, obs=obs,
-                )
-                try:
-                    with use_supervision(supervise_spec):
-                        if recovery is not None:
-                            from .recovery import run_with_recovery
-
-                            result = run_with_recovery(
-                                scheme, last_machine, matrix,
-                                get_partition(args.partition),
-                                get_compression(args.compression),
-                                policy=recovery,
-                            )
-                        else:
-                            result = get_scheme(scheme).run(
-                                last_machine, matrix, plan,
-                                get_compression(args.compression),
-                            )
-                finally:
-                    # the trace survives for --timeline; only workers die
-                    last_machine.shutdown()
-            else:
-                result = run_scheme(
-                    scheme,
-                    matrix,
-                    partition=args.partition,
-                    n_procs=args.procs,
-                    compression=args.compression,
-                    faults=fault_spec,
-                    fault_seed=args.fault_seed,
-                    recovery=recovery,
-                    backend=backend,
-                    executor=executor,
-                    obs=obs,
-                    supervise=supervise_spec,
-                )
-        except WorkerCrashError as exc:
-            # degrade=false and the restart budget ran out: one friendly
-            # line (which rank, which task) instead of a traceback
-            print(f"error: {exc}")
-            return 2
-        results.append(result)
-        print(f"  {result.summary()}")
-        if fault_spec is not None:
-            _print_fault_summary(result)
-        if result.recovery_summary is not None:
-            print(f"    {result.recovery_line()}")
-        if result.supervisor_summary is not None and not result.supervisor_summary.clean:
-            print(f"    {result.supervisor_line()}")
+                last_obs = obs
+            try:
+                if args.timeline:
+                    result, last_machine = _run_on_machine(request, matrix, obs)
+                else:
+                    result = session.run(request, matrix=matrix, obs=obs)
+            except WorkerCrashError as exc:
+                # degrade=false and the restart budget ran out: one friendly
+                # line (which rank, which task) instead of a traceback
+                print(f"error: {exc}")
+                return 2
+            results.append(result)
+            print(f"  {result.summary()}")
+            if fault_spec is not None:
+                _print_fault_summary(result)
+            if result.recovery_summary is not None:
+                print(f"    {result.recovery_line()}")
+            if (
+                result.supervisor_summary is not None
+                and not result.supervisor_summary.clean
+            ):
+                print(f"    {result.supervisor_line()}")
     if len(results) > 1:
         verify_all_schemes_agree(results)
         print("  all schemes delivered identical local arrays (verified)")
@@ -595,30 +533,37 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_tables(args) -> int:
     from .exec import use_supervision
-    from .runtime import TABLE_SPECS, format_table, reproduce_table, shape_report
+    from .runtime import TABLE3_SIZES, TABLE5_SIZES, format_table, shape_report
+    from .sweep import Manifest, paper_tables_manifest, sweep_records, table_from_store
+    from .sweep.report import TABLE_PARTITIONS
 
-    fault_spec = _load_fault_spec(args)
-    backend = _resolve_backend(args)
-    executor = _resolve_executor(args)
-    supervise_spec = _load_supervise_spec(args, executor)
+    placement = _request(args, **_ANY_RUN)
     names = ["table3", "table4", "table5"] if args.table == "all" else [args.table]
+    # --quick: n <= 800 and the first two processor counts of each grid
+    quick = dict(
+        sizes=[n for n in TABLE3_SIZES if n <= 800], proc_counts=(4, 16),
+        mesh_sizes=[n for n in TABLE5_SIZES if n <= 800], mesh_proc_counts=(4, 16),
+    ) if args.quick else {}
+    data = paper_tables_manifest(**quick).to_dict()
+    wanted = {TABLE_PARTITIONS[name] for name in names}
+    grids = []
+    for grid in data["grids"]:
+        grid["partition"] = [p for p in grid["partition"] if p in wanted]
+        if grid["partition"]:
+            if placement.faults is not None:
+                grid["faults"] = placement.faults.to_dict()
+                grid["fault_seed"] = placement.fault_seed
+            grids.append(grid)
+    manifest = Manifest.from_dict({**data, "grids": grids})
+    with use_supervision(placement.supervise):
+        records = sweep_records(
+            manifest, executor=placement.executor, backend=placement.backend
+        )
     for name in names:
-        spec = TABLE_SPECS[name]
-        sizes = [n for n in spec.sizes if n <= 800] if args.quick else None
-        procs = spec.proc_counts[:2] if args.quick else None
-        with use_supervision(supervise_spec):
-            repro = reproduce_table(
-                name,
-                sizes=sizes,
-                proc_counts=procs,
-                faults=fault_spec,
-                fault_seed=args.fault_seed,
-                backend=backend,
-                executor=executor,
-            )
+        repro = table_from_store(records, name)
         print(format_table(repro))
         print(f"   shape report: {shape_report(repro)}")
-        if fault_spec is not None:
+        if placement.faults is not None:
             totals = repro.fault_totals()
             print(f"   fault totals (seed {args.fault_seed}):")
             for phase, bucket in totals.items():
@@ -688,27 +633,19 @@ def _cmd_crossover(args) -> int:
     return 0
 
 
-class SweepManifestError(SystemExit):
-    """Friendly one-line exit for a bad sweep manifest/store/argument."""
-
-    def __init__(self, message: str) -> None:
-        print(f"error: {message}")
-        super().__init__(2)
-
-
 def _cmd_sweep_manifest(args) -> int:
     """Manifest mode: run (or resume) the grid into a JSONL result store."""
     from pathlib import Path
 
     from .sweep import Manifest, ManifestError, StoreError, SweepError, run_sweep
 
-    executor = _resolve_executor(args)
+    placement = _request(args, **_ANY_RUN)
     if args.jobs < 1:
-        raise SweepManifestError(f"--jobs must be >= 1, got {args.jobs}")
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         manifest = Manifest.from_file(args.parameter)
     except ManifestError as exc:
-        raise SweepManifestError(str(exc))
+        raise UsageError(str(exc))
     store_path = (
         Path(args.store)
         if args.store is not None
@@ -720,11 +657,11 @@ def _cmd_sweep_manifest(args) -> int:
             store_path,
             resume=args.resume,
             jobs=args.jobs,
-            executor=executor,
+            executor=placement.executor,
             echo=print,
         )
     except (ManifestError, StoreError) as exc:
-        raise SweepManifestError(str(exc))
+        raise UsageError(str(exc))
     except SweepError as exc:
         print(f"error: {exc}")
         return 1
@@ -739,7 +676,7 @@ def _cmd_sweep(args) -> int:
     if args.parameter not in ("s", "ratio", "p", "n"):
         return _cmd_sweep_manifest(args)
     if args.start is None or args.stop is None:
-        raise SweepManifestError(
+        raise UsageError(
             f"knob sweeps over {args.parameter!r} need --start and --stop"
         )
     import numpy as np
@@ -827,14 +764,6 @@ def _cmd_report(args) -> int:
     return report_main(argv)
 
 
-class ServiceArgError(SystemExit):
-    """Friendly one-line exit for a bad serve/load argument."""
-
-    def __init__(self, message: str) -> None:
-        print(f"error: {message}")
-        super().__init__(2)
-
-
 def _service_endpoint(args):
     """``(socket_path, host, port)`` from --socket/--host/--port.
 
@@ -843,12 +772,12 @@ def _service_endpoint(args):
     out of the box.
     """
     if args.socket is not None and args.port is not None:
-        raise ServiceArgError("--socket and --port are exclusive; pick one")
+        raise UsageError("--socket and --port are exclusive; pick one")
     if args.socket is not None:
         return args.socket, None, None
     port = args.port if args.port is not None else 7027
     if not 0 <= port <= 65535:
-        raise ServiceArgError(f"--port must be in [0, 65535], got {port}")
+        raise UsageError(f"--port must be in [0, 65535], got {port}")
     return None, args.host, port
 
 
@@ -857,13 +786,12 @@ def _cmd_serve(args) -> int:
 
     from .service import RunService
 
-    backend = _resolve_backend(args)
-    executor = _resolve_executor(args)
+    placement = _request(args, **_ANY_RUN)
     socket_path, host, port = _service_endpoint(args)
     for name, floor in (("workers", 1), ("queue_size", 1), ("max_sessions", 1)):
         value = getattr(args, name)
         if value < floor:
-            raise ServiceArgError(
+            raise UsageError(
                 f"--{name.replace('_', '-')} must be >= {floor}, got {value}"
             )
 
@@ -875,8 +803,8 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             queue_size=args.queue_size,
             max_sessions=args.max_sessions,
-            backend=backend,
-            executor=executor,
+            backend=placement.backend,
+            executor=placement.executor,
         )
         await service.start()
         kind = "unix socket" if socket_path is not None else "tcp"
@@ -907,11 +835,11 @@ def _cmd_load(args) -> int:
 
     socket_path, host, port = _service_endpoint(args)
     if args.rps <= 0:
-        raise ServiceArgError(f"--rps must be > 0, got {args.rps}")
+        raise UsageError(f"--rps must be > 0, got {args.rps}")
     if args.duration <= 0:
-        raise ServiceArgError(f"--duration must be > 0, got {args.duration}")
+        raise UsageError(f"--duration must be > 0, got {args.duration}")
     if args.n < 1 or args.procs < 1:
-        raise ServiceArgError("--n and --procs must be >= 1")
+        raise UsageError("--n and --procs must be >= 1")
     try:
         report = run_load(
             rps=args.rps,
@@ -925,7 +853,7 @@ def _cmd_load(args) -> int:
         )
     except (ConnectionError, OSError) as exc:
         where = socket_path if socket_path is not None else f"{host}:{port}"
-        raise ServiceArgError(f"cannot reach a service at {where}: {exc}")
+        raise UsageError(f"cannot reach a service at {where}: {exc}")
     print(report.line())
     if report.dropped or report.errors:
         print(

@@ -3,12 +3,11 @@
 Public surface:
 
 * selection — :func:`get_executor`, :func:`available_executors`,
-  :func:`use_executor`, :func:`set_default_executor`,
   :func:`current_executor_name` (``REPRO_EXECUTOR`` sets the default);
 * the coordinator API — :class:`RankPool` (via ``machine.rank_pool()``),
   :func:`rank_task` for registering new tasks;
 * supervision — :class:`SuperviseSpec`, :func:`use_supervision`,
-  :func:`set_default_supervision`, :func:`current_supervision`
+  :func:`current_supervision`
   (``REPRO_SUPERVISE`` sets the default), :class:`SupervisorSummary`,
   :class:`WorkerCrashError` for real crash/hang/leak tolerance on the
   process executor;
@@ -25,8 +24,6 @@ from .dispatch import (
     current_executor_name,
     get_executor,
     register_executor,
-    set_default_executor,
-    use_executor,
 )
 from .pool import RankPool
 from .process import (
@@ -42,7 +39,6 @@ from .supervise import (
     SupervisorSummary,
     WorkerCrashError,
     current_supervision,
-    set_default_supervision,
     use_supervision,
 )
 from .tasks import (
@@ -86,9 +82,6 @@ __all__ = [
     "reap_leaked_segments",
     "register_executor",
     "run_task",
-    "set_default_executor",
-    "set_default_supervision",
     "shutdown_escalations",
-    "use_executor",
     "use_supervision",
 ]

@@ -8,11 +8,10 @@ An :class:`Executor` decides *where* rank tasks run; two are registered:
 * ``"process"`` (:mod:`repro.exec.process`) — one OS process per
   simulated rank, frames on shared-memory wire buffers.
 
-Selection mirrors the kernel-backend layer (:mod:`repro.kernels.
-dispatch`): an explicit ``executor=`` on :class:`~repro.machine.machine.
-Machine` / ``run_scheme`` / ``ExperimentConfig``, the CLI's
-``--executor``, the ``REPRO_EXECUTOR`` environment variable, or a
-:func:`use_executor` scope.  Executor choice can never change a
+Selection: an explicit ``executor=`` on :class:`~repro.machine.machine.
+Machine` / ``run_scheme`` / ``RunRequest`` (the CLI's ``--executor``),
+else the ``REPRO_EXECUTOR`` environment variable, else ``sim``.
+Executor choice can never change a
 simulated cost, a wire buffer or a golden trace — only wall-clock
 behaviour (the contract of ``tests/exec/test_differential.py``).
 """
@@ -20,8 +19,7 @@ behaviour (the contract of ``tests/exec/test_differential.py``).
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "Executor",
@@ -29,8 +27,6 @@ __all__ = [
     "current_executor_name",
     "get_executor",
     "register_executor",
-    "set_default_executor",
-    "use_executor",
 ]
 
 
@@ -102,36 +98,13 @@ def get_executor(name: str) -> Executor:
 
 
 # ----------------------------------------------------------------------
-# dynamic scoping
+# the default
 # ----------------------------------------------------------------------
 #: process default; the environment can pre-select the parallel backend
 #: for an entire run (`REPRO_EXECUTOR=process pytest ...`)
 _default_name: str = os.environ.get("REPRO_EXECUTOR", "sim")
-#: innermost `use_executor` override, if any
-_scope_stack: list[str] = []
-
-
-def set_default_executor(name: str) -> None:
-    """Install ``name`` as the process-wide default executor."""
-    get_executor(name)  # validate
-    global _default_name
-    _default_name = name
 
 
 def current_executor_name() -> str:
     """The executor name a machine without an explicit one resolves to."""
-    return _scope_stack[-1] if _scope_stack else _default_name
-
-
-@contextmanager
-def use_executor(name: str | None) -> Iterator[str]:
-    """Dynamically scope the current executor; ``None`` is a no-op scope."""
-    if name is None:
-        yield current_executor_name()
-        return
-    get_executor(name)  # validate before pushing
-    _scope_stack.append(name)
-    try:
-        yield name
-    finally:
-        _scope_stack.pop()
+    return _default_name

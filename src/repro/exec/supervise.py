@@ -38,11 +38,10 @@ segments are attributable by pid (``reproexec-<pid>-…``), so a crash
 sweep reclaims both sides even after ``SIGKILL`` — the autouse conftest
 reaper then finds ``/dev/shm`` clean.
 
-Selection mirrors the executor/kernel layers: an explicit
-``supervise=`` on ``run_scheme`` / ``ExperimentConfig``, the CLI's
-``--supervise spec.json``, the ``REPRO_SUPERVISE`` environment variable
-(``1`` for defaults, or a JSON spec path), or a :func:`use_supervision`
-scope.  With none of those active, ``ProcessExecutor`` hands out bare
+Selection: an explicit ``supervise=`` on ``run_scheme`` /
+``RunRequest`` (the CLI's ``--supervise spec.json``) or a
+:func:`use_supervision` scope, else the ``REPRO_SUPERVISE`` environment
+variable (``1`` for defaults, or a JSON spec path).  With none of those active, ``ProcessExecutor`` hands out bare
 sessions and nothing changes.
 
 See DESIGN.md §"Real-fault supervision" for the simulated-vs-real fault
@@ -73,7 +72,6 @@ __all__ = [
     "SupervisorSummary",
     "WorkerCrashError",
     "current_supervision",
-    "set_default_supervision",
     "use_supervision",
 ]
 
@@ -268,21 +266,14 @@ class SupervisorSummary:
 
 
 # ----------------------------------------------------------------------
-# dynamic scoping (mirrors repro.exec.dispatch / repro.kernels.dispatch)
+# dynamic scoping (mirrors repro.kernels.dispatch)
 # ----------------------------------------------------------------------
-_default_spec: SuperviseSpec | None = None
 _scope_stack: list[SuperviseSpec] = []
 _env_cache: dict[str, SuperviseSpec] = {}
 
 #: REPRO_SUPERVISE values meaning "defaults on" / "off"
 _ENV_ON = {"1", "on", "true", "default"}
 _ENV_OFF = {"", "0", "off", "false"}
-
-
-def set_default_supervision(spec: SuperviseSpec | None) -> None:
-    """Install ``spec`` as the process-wide default supervision plan."""
-    global _default_spec
-    _default_spec = spec
 
 
 def _supervision_from_env() -> SuperviseSpec | None:
@@ -301,8 +292,6 @@ def current_supervision() -> SuperviseSpec | None:
     """The plan a new process session resolves to (``None`` = bare)."""
     if _scope_stack:
         return _scope_stack[-1]
-    if _default_spec is not None:
-        return _default_spec
     return _supervision_from_env()
 
 

@@ -13,9 +13,8 @@ implementations of every such hot path:
   default.
 
 Selection is dynamically scoped: :func:`use_backend` installs a backend
-for a ``with`` block, :func:`set_default_backend` installs one globally,
-and the ``REPRO_KERNEL_BACKEND`` environment variable seeds the process
-default.  ``Machine(backend=...)``, ``run_scheme(backend=...)`` and the
+for a ``with`` block, and the ``REPRO_KERNEL_BACKEND`` environment
+variable seeds the process default.  ``Machine(backend=...)``, ``run_scheme(backend=...)`` and the
 CLI ``--backend`` flag all funnel into :func:`use_backend`.
 
 See DESIGN.md §"Kernel backends" for the dispatch rules and the oracle
@@ -27,10 +26,10 @@ from .dispatch import (
     KernelBackend,
     available_backends,
     current_backend,
+    current_backend_name,
     get_backend,
     observe_kernel_calls,
     register_backend,
-    set_default_backend,
     use_backend,
 )
 
@@ -38,9 +37,9 @@ __all__ = [
     "KernelBackend",
     "available_backends",
     "current_backend",
+    "current_backend_name",
     "get_backend",
     "observe_kernel_calls",
     "register_backend",
-    "set_default_backend",
     "use_backend",
 ]

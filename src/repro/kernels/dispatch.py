@@ -31,10 +31,10 @@ __all__ = [
     "KernelBackend",
     "available_backends",
     "current_backend",
+    "current_backend_name",
     "get_backend",
     "observe_kernel_calls",
     "register_backend",
-    "set_default_backend",
     "use_backend",
 ]
 
@@ -193,13 +193,6 @@ _default_name: str = os.environ.get("REPRO_KERNEL_BACKEND", "numpy")
 _scope_stack: list[str] = []
 
 
-def set_default_backend(name: str) -> None:
-    """Install ``name`` as the process-wide default backend."""
-    get_backend(name)  # validate
-    global _default_name
-    _default_name = name
-
-
 #: active kernel-call observation hooks (`observe_kernel_calls` scopes)
 _call_hooks: list = []
 
@@ -255,10 +248,14 @@ def observe_kernel_calls(hook) -> Iterator[None]:
         _call_hooks.remove(hook)
 
 
+def current_backend_name() -> str:
+    """The backend name hot paths resolve to right now (unvalidated)."""
+    return _scope_stack[-1] if _scope_stack else _default_name
+
+
 def current_backend() -> KernelBackend:
     """The backend hot paths dispatch to right now."""
-    name = _scope_stack[-1] if _scope_stack else _default_name
-    backend = get_backend(name)
+    backend = get_backend(current_backend_name())
     if _call_hooks:
         # the proxy forwards every kernel attribute to the real backend;
         # it deliberately does not subclass (no shared code), so cast

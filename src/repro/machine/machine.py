@@ -92,8 +92,8 @@ class Machine:
     executor:
         Executor name (``"sim"`` | ``"process"``) rank tasks run on;
         ``None`` (default) resolves the executor layer's current default
-        (``REPRO_EXECUTOR`` / :func:`~repro.exec.use_executor`) when the
-        first rank pool is created.  Like the kernel backend, executor
+        (``REPRO_EXECUTOR``, else ``sim``) when the first rank pool is
+        created.  Like the kernel backend, executor
         choice never changes charged costs or wire bytes — only where
         the receiver-side arithmetic physically runs (DESIGN.md
         §"Execution tiers").
@@ -792,8 +792,8 @@ class Machine:
 
         The executor name resolves like the kernel backend: an explicit
         ``executor=`` wins, otherwise the executor layer's current
-        default (``REPRO_EXECUTOR`` / ``use_executor`` scope) at the
-        moment the first pool is created.
+        default (``REPRO_EXECUTOR``, else ``sim``) at the moment the
+        first pool is created.
         """
         if self._exec_session is None:
             from ..exec import current_executor_name, get_executor

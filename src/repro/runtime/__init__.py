@@ -1,14 +1,8 @@
 """Experiment harness: drivers, table grids, rendering, verification."""
 
 from .compare import SchemeComparison, compare_schemes
-from .driver import ExperimentConfig, run_config, run_scheme
-from .experiments import (
-    SCHEMES_ORDER,
-    TABLE_SPECS,
-    TableReproduction,
-    TableSpec,
-    reproduce_table,
-)
+from .driver import run_scheme
+from .experiments import SCHEMES_ORDER, TableReproduction
 from .paper_results import (
     PAPER_TABLE3,
     PAPER_TABLE4,
@@ -18,34 +12,30 @@ from .paper_results import (
     TABLE5_SIZES,
 )
 from .plot import ascii_chart
-from .session import RunRequest, RunSession
+from .session import RequestError, RunRequest, RunSession
 from .stats import ReplicationStats, replicate
 from .tables import format_comparison_row, format_table, shape_report
 from .verify import verify_all_schemes_agree, verify_distribution
 
 __all__ = [
-    "ExperimentConfig",
     "PAPER_TABLE3",
     "PAPER_TABLE4",
     "PAPER_TABLE5",
     "PAPER_TABLES",
     "ReplicationStats",
+    "RequestError",
     "RunRequest",
     "RunSession",
     "SchemeComparison",
     "SCHEMES_ORDER",
     "TABLE3_SIZES",
     "TABLE5_SIZES",
-    "TABLE_SPECS",
     "TableReproduction",
-    "TableSpec",
     "ascii_chart",
     "compare_schemes",
     "format_comparison_row",
     "format_table",
     "replicate",
-    "reproduce_table",
-    "run_config",
     "run_scheme",
     "shape_report",
     "verify_all_schemes_agree",

@@ -8,7 +8,6 @@ times and every processor's compressed local array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..core.base import SchemeResult
@@ -17,15 +16,17 @@ from ..faults.spec import FaultSpec
 from ..machine.cost_model import CostModel, sp2_cost_model
 from ..machine.topology import Topology
 from ..partition.base import PartitionMethod, PartitionPlan
-from ..partition.mesh2d import Mesh2DPartition
 from ..sparse.coo import COOMatrix
-from ..sparse.generators import random_sparse
+# re-bound on purpose: profilers patch every module binding of the
+# generator a run can reach
+from ..sparse.generators import random_sparse  # noqa: F401
+from .session import RunRequest, RunSession
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.supervise import SuperviseSpec
     from ..obs.spans import Observability
 
-__all__ = ["ExperimentConfig", "run_scheme", "run_config"]
+__all__ = ["run_scheme"]
 
 
 def run_scheme(
@@ -85,12 +86,10 @@ def run_scheme(
     meaningful with the process executor; ``None`` inherits the
     supervision layer's default (``REPRO_SUPERVISE``, else off).
     """
-    from .session import RunSession
-
     method = partition if isinstance(partition, PartitionMethod) else get_partition(partition)
     if plan is None:
         plan = method.plan(matrix.shape, n_procs)
-    request = ExperimentConfig(
+    request = RunRequest(
         scheme=scheme,
         n=matrix.shape[0],
         n_procs=plan.n_procs,
@@ -110,60 +109,3 @@ def run_scheme(
             request, matrix=matrix, method=method, plan=plan,
             topology=topology, obs=obs,
         )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A declarative experiment: one cell of a paper table.
-
-    ``mesh_shape`` selects an explicit processor mesh for the ``mesh2d``
-    partition (``None`` = most-square factorisation of ``n_procs``).
-    ``faults``/``fault_seed`` re-derive the cell under a fault plan — the
-    reliability-vs-cost extension (DESIGN.md §"Fault model").
-    """
-
-    scheme: str
-    n: int
-    n_procs: int
-    partition: str = "row"
-    compression: str = "crs"
-    sparse_ratio: float = 0.1
-    seed: int = 0
-    mesh_shape: tuple[int, int] | None = None
-    cost: CostModel = field(default_factory=sp2_cost_model)
-    faults: FaultSpec | None = None
-    fault_seed: int = 0
-    #: fail-stop recovery policy ("host-resend" | "peer-redistribute");
-    #: None runs without the recovery manager (a fail-stop death then
-    #: surfaces as DeadRankError)
-    recovery: str | None = None
-    #: kernel backend ("python" | "numpy"); None = process default
-    backend: str | None = None
-    #: executor ("sim" | "process"); None = the executor layer's default
-    executor: str | None = None
-    #: real-fault supervision spec; None = the supervision layer's
-    #: default (REPRO_SUPERVISE, else off).  Process executor only.
-    supervise: "SuperviseSpec | None" = None
-
-    def make_matrix(self) -> COOMatrix:
-        """The test sample for this cell (paper: n×n, fixed sparse ratio)."""
-        return random_sparse((self.n, self.n), self.sparse_ratio, seed=self.seed)
-
-    def partition_method(self) -> PartitionMethod:
-        if self.partition == "mesh2d":
-            return Mesh2DPartition(self.mesh_shape)
-        return get_partition(self.partition)
-
-
-def run_config(config: ExperimentConfig, matrix: COOMatrix | None = None) -> SchemeResult:
-    """Execute one experiment cell (generating the matrix unless given).
-
-    A one-shot :class:`~repro.runtime.session.RunSession` run: grids that
-    revisit matrices or machines should hold a session open instead
-    (that is what :func:`~repro.runtime.experiments.reproduce_table` and
-    the sweep orchestrator do).
-    """
-    from .session import RunSession
-
-    with RunSession(reuse_machines=False) as session:
-        return session.run(config, matrix=matrix)

@@ -1,72 +1,34 @@
-"""Reproductions of the paper's experiment grids (Tables 3, 4, 5).
+"""Measured grids of the paper's Tables 3, 4 and 5, aligned with the published numbers.
 
 Each published table varies the array size and the processor count for one
 partition method (row / column / 2-D mesh), reports ``T_Distribution`` and
 ``T_Compression`` per scheme, with the CRS compression method and sparse
-ratio 0.1.  :func:`reproduce_table` reruns the same grid on the simulated
-machine; the same generated matrix is shared by all three schemes within a
-cell, as on the real machine.
-
-The full grids (n up to 2000, p up to 64) run in seconds; tests use reduced
-grids via the ``sizes``/``proc_counts`` arguments.
+ratio 0.1.  The grids themselves are declared once, as the sweep manifest
+:func:`~repro.sweep.report.paper_tables_manifest`; a sweep runs it into a
+result store and :func:`~repro.sweep.report.table_from_store` builds the
+:class:`TableReproduction` the renderers and shape verdicts consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 from ..core.base import SchemeResult
-from ..faults.spec import FaultSpec
 from ..faults.stats import FaultStats
-from ..machine.cost_model import CostModel, sp2_cost_model
-from .driver import ExperimentConfig
 from .paper_results import PAPER_TABLES, TABLE3_SIZES, TABLE5_SIZES
-from .session import RunSession
 
-__all__ = ["TABLE_SPECS", "TableSpec", "TableReproduction", "reproduce_table", "SCHEMES_ORDER"]
+__all__ = ["TableReproduction", "SCHEMES_ORDER"]
 
 SCHEMES_ORDER = ("sfc", "cfs", "ed")
-
-
-@dataclass(frozen=True)
-class TableSpec:
-    """The grid of one published table."""
-
-    table_id: str
-    partition: str
-    compression: str
-    sizes: tuple[int, ...]
-    proc_counts: tuple[int, ...]
-    mesh_shapes: Mapping[int, tuple[int, int]] | None = None
-
-    def mesh_shape_for(self, p: int) -> tuple[int, int] | None:
-        return self.mesh_shapes.get(p) if self.mesh_shapes else None
-
-
-TABLE_SPECS: dict[str, TableSpec] = {
-    "table3": TableSpec(
-        "table3", "row", "crs", tuple(TABLE3_SIZES), (4, 16, 32)
-    ),
-    "table4": TableSpec(
-        "table4", "column", "crs", tuple(TABLE3_SIZES), (4, 16, 32)
-    ),
-    "table5": TableSpec(
-        "table5",
-        "mesh2d",
-        "crs",
-        tuple(TABLE5_SIZES),
-        (4, 16, 64),
-        mesh_shapes={4: (2, 2), 16: (4, 4), 64: (8, 8)},
-    ),
-}
 
 
 @dataclass
 class TableReproduction:
     """Measured grid for one table, aligned with the published numbers."""
 
-    spec: TableSpec
+    table_id: str
+    partition: str
+    compression: str
     sizes: tuple[int, ...]
     proc_counts: tuple[int, ...]
     #: (p, scheme, n) -> SchemeResult
@@ -83,11 +45,11 @@ class TableReproduction:
 
     def paper_series(self, p: int, scheme: str, which: str) -> list[float] | None:
         """The published counterpart row (None for off-grid reductions)."""
-        table = PAPER_TABLES.get(self.spec.table_id)
+        table = PAPER_TABLES.get(self.table_id)
         if table is None or p not in table:
             return None
         full = table[p][scheme][which]
-        ref_sizes = TABLE5_SIZES if self.spec.table_id == "table5" else TABLE3_SIZES
+        ref_sizes = TABLE5_SIZES if self.table_id == "table5" else TABLE3_SIZES
         try:
             return [full[ref_sizes.index(n)] for n in self.sizes]
         except ValueError:
@@ -119,70 +81,3 @@ class TableReproduction:
             [r.fault_summary for r in self.cells.values() if r.fault_summary]
         )
 
-
-def reproduce_table(
-    table_id: str,
-    *,
-    sizes: Sequence[int] | None = None,
-    proc_counts: Sequence[int] | None = None,
-    sparse_ratio: float = 0.1,
-    cost: CostModel | None = None,
-    seed: int = 2002,
-    schemes: Iterable[str] = SCHEMES_ORDER,
-    faults: FaultSpec | None = None,
-    fault_seed: int = 0,
-    backend: str | None = None,
-    executor: str | None = None,
-) -> TableReproduction:
-    """Rerun one published table's grid on the simulated machine.
-
-    ``faults`` re-derives the whole grid under a fault plan (every cell
-    gets a fresh injector seeded with ``fault_seed`` so cells stay
-    independent and reproducible) — the "Tables 3–5 under a failure rate
-    f" extension.  ``backend`` selects the kernel backend every cell runs
-    on and ``executor`` where each cell's rank tasks run (``None`` =
-    process defaults); measured times are identical either way, only
-    wall-clock differs.
-    """
-    spec = TABLE_SPECS[table_id]
-    sizes = tuple(sizes) if sizes is not None else spec.sizes
-    proc_counts = tuple(proc_counts) if proc_counts is not None else spec.proc_counts
-    cost = cost if cost is not None else sp2_cost_model()
-    repro = TableReproduction(spec=spec, sizes=sizes, proc_counts=proc_counts)
-    # one warm session for the whole grid: the generated sample is shared
-    # by all schemes in a cell (as on the real machine) and clean cells
-    # reuse one machine per p instead of rebuilding Machine/kernel state
-    # per cell (tests/sweep/test_session.py pins the byte-equivalence)
-    with RunSession() as session:
-        for p in proc_counts:
-            for n in sizes:
-                base = ExperimentConfig(
-                    scheme="sfc",
-                    n=n,
-                    n_procs=p,
-                    partition=spec.partition,
-                    compression=spec.compression,
-                    sparse_ratio=sparse_ratio,
-                    seed=seed + n + 131 * p,
-                    mesh_shape=spec.mesh_shape_for(p),
-                    cost=cost,
-                )
-                matrix = session.matrix_for(base)
-                for scheme in schemes:
-                    cfg = ExperimentConfig(
-                        scheme=scheme,
-                        n=n,
-                        n_procs=p,
-                        partition=base.partition,
-                        compression=base.compression,
-                        sparse_ratio=sparse_ratio,
-                        seed=base.seed,
-                        mesh_shape=base.mesh_shape,
-                        cost=cost,
-                        faults=faults,
-                        fault_seed=fault_seed,
-                        backend=backend,
-                        executor=executor,
-                    )
-                    repro.cells[(p, scheme, n)] = session.run(cfg, matrix=matrix)
-    return repro

@@ -24,7 +24,6 @@ from ..data import (
 from ..model import ProblemSpec, remark5_thresholds, table1_cfs, table1_ed, table1_sfc
 from ..partition import RowPartition
 from ..sparse import CCSMatrix, CRSMatrix
-from .experiments import reproduce_table
 from .tables import shape_report
 
 __all__ = ["build_report"]
@@ -104,28 +103,23 @@ def _figures_section() -> list[str]:
 def _observability_section() -> list[str]:
     """Comm matrix + top-5 spans for one Table-4 cell (ED, n=1000, p=4).
 
-    The same seed/cost recipe ``reproduce_table("table4")`` uses for that
+    The same seed/cost recipe the paper-tables manifest uses for that
     cell, re-run with an :class:`~repro.obs.Observability` recorder
     attached — the recorder self-verifies its totals against the trace
     ledger before anything is printed (docs/OBSERVABILITY.md).
     """
     from ..obs import Observability
-    from .driver import ExperimentConfig, run_config
+    from .session import RunRequest, RunSession
 
     n, p = 1000, 4
     obs = Observability(scheme="ed", n=n)
-    cfg = ExperimentConfig(
+    cfg = RunRequest(
         scheme="ed", n=n, n_procs=p, partition="column",
         compression="crs", seed=2002 + n + 131 * p,
     )
-    result = run_config(cfg)  # unobserved twin: proves byte transparency
-    # run_config has no obs knob (tables never record); call the driver
-    from .driver import run_scheme as _run
-
-    r = _run(
-        "ed", cfg.make_matrix(), partition="column", n_procs=p,
-        compression="crs", obs=obs,
-    )
+    with RunSession(reuse_machines=False) as session:
+        result = session.run(cfg)  # unobserved twin: proves byte transparency
+        r = session.run(cfg, obs=obs)
     same = abs(r.t_total - result.t_total) < 1e-12
     lines = [
         f"Cell: Table 4, ED, column partition, CRS, n={n}, p={p} "
@@ -242,7 +236,13 @@ def build_report(store: str | None = None) -> str:
     import tempfile
     from pathlib import Path
 
-    from ..sweep import paper_tables_manifest, run_sweep, table_from_store
+    from ..sweep import (
+        Manifest,
+        paper_tables_manifest,
+        run_sweep,
+        sweep_records,
+        table_from_store,
+    )
 
     manifest = paper_tables_manifest()
     t_sweep = time.time()
@@ -368,10 +368,15 @@ def build_report(store: str | None = None) -> str:
 
     fault_spec = FaultSpec.lossy(0.05)
     fault_sizes = (200, 400)
-    clean = reproduce_table("table3", sizes=fault_sizes, proc_counts=(4,))
-    lossy = reproduce_table(
-        "table3", sizes=fault_sizes, proc_counts=(4,),
-        faults=fault_spec, fault_seed=2002,
+    grid = {"scheme": ["sfc", "cfs", "ed"], "n": list(fault_sizes), "n_procs": 4}
+    clean, lossy = (
+        table_from_store(
+            sweep_records(Manifest.from_dict(
+                {"name": "table3-reliability", "seed": 2002, "grid": g}
+            )),
+            "table3",
+        )
+        for g in (grid, {**grid, "faults": fault_spec.to_dict(), "fault_seed": 2002})
     )
     out.append(
         "**Reliability extension — Table 3 under failure rate f = 0.05** "

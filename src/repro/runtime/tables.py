@@ -29,10 +29,9 @@ def format_comparison_row(
 
 def format_table(repro: TableReproduction, *, with_paper: bool = True) -> str:
     """Render a reproduced table as aligned text."""
-    spec = repro.spec
     lines = [
-        f"== {spec.table_id}: {spec.partition} partition, "
-        f"{spec.compression.upper()} compression — simulated ms"
+        f"== {repro.table_id}: {repro.partition} partition, "
+        f"{repro.compression.upper()} compression — simulated ms"
         + (" (paper ms)" if with_paper else ""),
         "   sizes: " + " ".join(f"{n:>10d}" for n in repro.sizes),
     ]

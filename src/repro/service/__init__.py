@@ -3,7 +3,7 @@
 A stdlib-only :mod:`asyncio` server that turns the warm
 :class:`~repro.runtime.session.RunSession` seam of PR 8 into a long-lived
 endpoint: clients send one JSON object per line (a *scheme-run request* —
-the same axes an :class:`~repro.runtime.driver.ExperimentConfig` carries),
+the fields of one :class:`~repro.runtime.session.RunRequest`),
 and receive one JSON line back with the full
 :func:`~repro.machine.export.result_to_dict` payload.  The scheduler
 batches compatible requests onto a bounded pool of warm sessions keyed
@@ -29,7 +29,6 @@ from .protocol import (
     parse_request_line,
     reject_response,
     result_response,
-    session_key,
 )
 from .queue import QueueFullError, RunScheduler, SessionCache
 from .server import RunService
@@ -50,5 +49,4 @@ __all__ = [
     "reject_response",
     "result_response",
     "run_load",
-    "session_key",
 ]

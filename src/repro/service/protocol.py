@@ -1,11 +1,11 @@
 """The JSONL wire protocol: strict request parsing + typed response lines.
 
-One request is one JSON object on one line.  The schema mirrors the sweep
-manifest's strictness conventions (:mod:`repro.sweep.manifest`): unknown
-keys are rejected with the full sorted key listing, names are validated
-against the registries in :mod:`repro.core.registry`, and every error is
-a single CLI-friendly sentence — the payload is *user* input arriving
-over a socket, not programmer input.
+One request is one JSON object on one line.  The run fields are exactly
+the keys :meth:`RunRequest.from_dict <repro.runtime.session.RunRequest.
+from_dict>` accepts — the one validator the CLI and the sweep manifests
+share — so a bad value gets the same single friendly line here as
+anywhere else; the payload is *user* input arriving over a socket, not
+programmer input.  The protocol adds only ``id``, ``op`` and ``observe``.
 
 Request keys (``op: "run"``, the default)::
 
@@ -32,11 +32,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from ..core.registry import COMPRESSIONS, PARTITIONS, SCHEMES
-from ..machine.cost_model import CostModel
-from ..runtime.session import RunRequest
+from ..runtime.session import RequestError, RunRequest
 
 __all__ = [
     "ProtocolError",
@@ -46,35 +44,10 @@ __all__ = [
     "parse_request_line",
     "reject_response",
     "result_response",
-    "session_key",
 ]
-
-#: every key a ``run`` request may carry (the strict-schema listing)
-RUN_KEYS = (
-    "id",
-    "op",
-    "scheme",
-    "n",
-    "n_procs",
-    "partition",
-    "compression",
-    "sparse_ratio",
-    "seed",
-    "mesh_shape",
-    "backend",
-    "executor",
-    "faults",
-    "fault_seed",
-    "recovery",
-    "supervise",
-    "observe",
-)
 
 #: control operations that carry no run parameters
 CONTROL_OPS = ("metrics", "ping", "stats")
-
-#: fail-stop recovery policies the run layer understands
-RECOVERY_POLICIES = ("host-resend", "peer-redistribute")
 
 
 class ProtocolError(ValueError):
@@ -101,157 +74,6 @@ class ServiceRequest:
     #: attach a per-run Observability recorder and ship its snapshot
     #: inside the result payload
     observe: bool = False
-
-
-def session_key(config: RunRequest) -> tuple[Any, ...]:
-    """The warm-session signature of one run: ``(p, cost, backend,
-    executor)`` — exactly the machine-reuse key of
-    :class:`~repro.runtime.session.RunSession`."""
-    return (config.n_procs, config.cost, config.backend, config.executor)
-
-
-# ----------------------------------------------------------------------
-# field validators (ManifestError-style messages, ProtocolError type)
-# ----------------------------------------------------------------------
-def _reject_unknown(
-    data: Mapping[str, Any], known: Sequence[str], what: str, rid: str | None
-) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ProtocolError(
-            f"unknown {what} key(s) {unknown}; known keys: {sorted(known)}",
-            request_id=rid,
-        )
-
-
-def _int_field(data: Mapping[str, Any], key: str, default: int | None,
-               rid: str | None, *, minimum: int | None = None) -> int:
-    if key not in data:
-        if default is None:
-            raise ProtocolError(
-                f"run request is missing required key {key!r}", request_id=rid
-            )
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(
-            f"request key {key!r} must be an integer, got {value!r}",
-            request_id=rid,
-        )
-    if minimum is not None and value < minimum:
-        raise ProtocolError(
-            f"request key {key!r} must be >= {minimum}, got {value}",
-            request_id=rid,
-        )
-    return value
-
-
-def _name_field(
-    data: Mapping[str, Any], key: str, default: str | None,
-    registry: Mapping[str, Any], what: str, rid: str | None,
-) -> str:
-    if key not in data:
-        if default is None:
-            raise ProtocolError(
-                f"run request is missing required key {key!r}", request_id=rid
-            )
-        return default
-    value = data[key]
-    if not isinstance(value, str):
-        raise ProtocolError(
-            f"request key {key!r} must be a string, got {value!r}",
-            request_id=rid,
-        )
-    if value.lower() not in registry:
-        raise ProtocolError(
-            f"unknown {what} {value!r}; available: {sorted(registry)}",
-            request_id=rid,
-        )
-    return value.lower()
-
-
-def _ratio_field(data: Mapping[str, Any], rid: str | None) -> float:
-    value = data.get("sparse_ratio", 0.1)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(
-            f"request key 'sparse_ratio' must be a number, got {value!r}",
-            request_id=rid,
-        )
-    value = float(value)
-    if not 0.0 < value <= 1.0:
-        raise ProtocolError(
-            f"request key 'sparse_ratio' must be in (0, 1], got {value}",
-            request_id=rid,
-        )
-    return value
-
-
-def _mesh_field(
-    data: Mapping[str, Any], partition: str, n_procs: int, rid: str | None
-) -> tuple[int, int] | None:
-    raw = data.get("mesh_shape")
-    if raw is None:
-        return None
-    if partition != "mesh2d":
-        raise ProtocolError(
-            "request key 'mesh_shape' is only meaningful with the 'mesh2d' "
-            "partition",
-            request_id=rid,
-        )
-    if (
-        not isinstance(raw, list)
-        or len(raw) != 2
-        or any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in raw)
-    ):
-        raise ProtocolError(
-            f"request key 'mesh_shape' must be [rows, cols] with positive "
-            f"integers, got {raw!r}",
-            request_id=rid,
-        )
-    if raw[0] * raw[1] != n_procs:
-        raise ProtocolError(
-            f"mesh_shape {raw} does not factor {n_procs} processors",
-            request_id=rid,
-        )
-    return (raw[0], raw[1])
-
-
-def _backend_field(data: Mapping[str, Any], default: str | None,
-                   rid: str | None) -> str | None:
-    name = data.get("backend", default)
-    if name is None:
-        return None
-    if not isinstance(name, str):
-        raise ProtocolError(
-            f"request key 'backend' must be a string, got {name!r}",
-            request_id=rid,
-        )
-    from ..kernels import get_backend
-
-    try:
-        get_backend(name)
-    except ValueError as exc:
-        raise ProtocolError(str(exc), request_id=rid) from None
-    return name
-
-
-def _executor_field(data: Mapping[str, Any], default: str | None,
-                    rid: str | None) -> str | None:
-    name = data.get("executor", default)
-    if name is None:
-        return None
-    if not isinstance(name, str):
-        raise ProtocolError(
-            f"request key 'executor' must be a string, got {name!r}",
-            request_id=rid,
-        )
-    from ..exec import get_executor
-
-    try:
-        get_executor(name)
-    except ValueError as exc:
-        raise ProtocolError(str(exc), request_id=rid) from None
-    return name
 
 
 def parse_request_line(
@@ -281,14 +103,19 @@ def parse_request_line(
     if not isinstance(data, dict):
         raise ProtocolError(f"request must be a JSON object, got {data!r}")
 
-    raw_id = data.get("id", f"req-{seq}")
+    raw_id = data.pop("id", f"req-{seq}")
     if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
         raise ProtocolError(f"request key 'id' must be a string, got {raw_id!r}")
     rid = str(raw_id)
 
-    op = data.get("op", "run")
+    op = data.pop("op", "run")
     if op in CONTROL_OPS:
-        _reject_unknown(data, ("id", "op"), f"{op} request", rid)
+        if data:
+            raise ProtocolError(
+                f"unknown {op} request key(s) {sorted(data)}; "
+                f"known keys: ['id', 'op']",
+                request_id=rid,
+            )
         return ServiceRequest(id=rid, op=op)
     if op != "run":
         raise ProtocolError(
@@ -296,100 +123,19 @@ def parse_request_line(
             request_id=rid,
         )
 
-    _reject_unknown(data, RUN_KEYS, "run request", rid)
-    scheme = _name_field(data, "scheme", None, SCHEMES, "scheme", rid)
-    n = _int_field(data, "n", None, rid, minimum=1)
-    n_procs = _int_field(data, "n_procs", None, rid, minimum=1)
-    partition = _name_field(
-        data, "partition", "row", PARTITIONS, "partition method", rid
-    )
-    compression = _name_field(
-        data, "compression", "crs", COMPRESSIONS, "compression method", rid
-    )
-    sparse_ratio = _ratio_field(data, rid)
-    seed = _int_field(data, "seed", 0, rid)
-    fault_seed = _int_field(data, "fault_seed", 0, rid)
-    mesh_shape = _mesh_field(data, partition, n_procs, rid)
-    backend = _backend_field(data, default_backend, rid)
-    executor = _executor_field(data, default_executor, rid)
-
-    faults = None
-    if data.get("faults") is not None:
-        if not isinstance(data["faults"], dict):
-            raise ProtocolError(
-                f"request key 'faults' must be a FaultSpec object, "
-                f"got {data['faults']!r}",
-                request_id=rid,
-            )
-        from ..faults import FaultSpec
-
-        try:
-            faults = FaultSpec.from_dict(data["faults"])
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"request key 'faults' is invalid: {exc}", request_id=rid
-            ) from None
-
-    recovery = data.get("recovery")
-    if recovery is not None:
-        if recovery not in RECOVERY_POLICIES:
-            raise ProtocolError(
-                f"unknown recovery policy {recovery!r}; "
-                f"available: {sorted(RECOVERY_POLICIES)}",
-                request_id=rid,
-            )
-        if faults is None:
-            raise ProtocolError(
-                "request key 'recovery' needs a fault plan ('faults': {...})",
-                request_id=rid,
-            )
-
-    supervise = None
-    if data.get("supervise") is not None:
-        if not isinstance(data["supervise"], dict):
-            raise ProtocolError(
-                f"request key 'supervise' must be a SuperviseSpec object, "
-                f"got {data['supervise']!r}",
-                request_id=rid,
-            )
-        if executor != "process":
-            raise ProtocolError(
-                "request key 'supervise' needs the process executor "
-                f"('executor': 'process'; effective: {executor or 'sim'})",
-                request_id=rid,
-            )
-        from ..exec import SuperviseSpec
-
-        try:
-            supervise = SuperviseSpec.from_dict(data["supervise"])
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"request key 'supervise' is invalid: {exc}", request_id=rid
-            ) from None
-
-    observe = data.get("observe", False)
+    observe = data.pop("observe", False)
     if not isinstance(observe, bool):
         raise ProtocolError(
             f"request key 'observe' must be a boolean, got {observe!r}",
             request_id=rid,
         )
-
-    config = RunRequest(
-        scheme=scheme,
-        n=n,
-        n_procs=n_procs,
-        partition=partition,
-        compression=compression,
-        sparse_ratio=sparse_ratio,
-        seed=seed,
-        mesh_shape=mesh_shape,
-        faults=faults,
-        fault_seed=fault_seed,
-        recovery=recovery,
-        backend=backend,
-        executor=executor,
-        supervise=supervise,
-    )
+    try:
+        config = RunRequest.from_dict(
+            data,
+            defaults={"backend": default_backend, "executor": default_executor},
+        )
+    except RequestError as exc:
+        raise ProtocolError(str(exc), request_id=rid) from None
     return ServiceRequest(id=rid, op="run", config=config, observe=observe)
 
 
@@ -427,7 +173,3 @@ def reject_response(request_id: str, queue_size: int) -> dict[str, Any]:
         "error": f"queue full ({queue_size} requests pending); retry later",
     }
 
-
-def cost_signature(cost: CostModel) -> str:
-    """A short printable form of a cost model for stats payloads."""
-    return repr(cost)

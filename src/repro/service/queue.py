@@ -37,7 +37,7 @@ from typing import Any, Callable
 
 from ..machine.export import result_to_dict
 from ..runtime.session import RunSession
-from .protocol import ServiceRequest, error_response, result_response, session_key
+from .protocol import ServiceRequest, error_response, result_response
 
 __all__ = ["QueueFullError", "RunScheduler", "SessionCache"]
 
@@ -308,20 +308,20 @@ class RunScheduler:
             self._count("repro_service_discarded_total")
         lead: _Item | None = None
         for item in self._pending:
-            key = session_key(item.request.config)  # type: ignore[arg-type]
+            key = item.request.config.machine_key()  # type: ignore[union-attr]
             if key not in self._busy_keys:
                 lead = item
                 break
         if lead is None:
             return None
         self._pending.remove(lead)
-        key = session_key(lead.request.config)  # type: ignore[arg-type]
+        key = lead.request.config.machine_key()  # type: ignore[union-attr]
         batch = [lead]
         if self.batch_limit > 1:
             rest: deque[_Item] = deque()
             while self._pending and len(batch) < self.batch_limit:
                 item = self._pending.popleft()
-                item_key = session_key(item.request.config)  # type: ignore[arg-type]
+                item_key = item.request.config.machine_key()  # type: ignore[union-attr]
                 if item_key == key:
                     batch.append(item)
                 else:
@@ -348,7 +348,7 @@ class RunScheduler:
                 await self._wake.wait()
                 continue
             self._gauge_depth()
-            key = session_key(batch[0].request.config)  # type: ignore[arg-type]
+            key = batch[0].request.config.machine_key()  # type: ignore[union-attr]
             outcomes: list[tuple[str, Any]]
             try:
                 session, hit, evicted = self.sessions.acquire(key)

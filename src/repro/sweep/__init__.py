@@ -1,9 +1,9 @@
 """Manifest-driven experiment sweeps with a resumable JSONL result store.
 
-The declarative counterpart to :mod:`repro.runtime.experiments`'s table
-grids (ROADMAP item 3): a JSON :class:`Manifest` names parameter grids
-over scheme × partition × compression × n × p, :func:`run_sweep`
-executes the expansion through the shared
+The one path to the paper's table grids: a JSON :class:`Manifest` names
+parameter grids over scheme × partition × compression × n × p, each
+expanding to :class:`~repro.runtime.session.RunRequest`\\ s;
+:func:`run_sweep` executes the expansion through the shared
 :class:`~repro.runtime.session.RunSession` entry point (optionally
 fanned out over worker processes), and every completed cell is one
 fsync'd line in an append-only JSONL :class:`ResultStore` keyed by
@@ -13,7 +13,6 @@ it stopped and converges byte-identically to an uninterrupted run
 """
 
 from .manifest import (
-    Cell,
     Grid,
     Manifest,
     ManifestError,
@@ -21,7 +20,12 @@ from .manifest import (
     cell_seed,
 )
 from .orchestrator import SweepCellError, SweepError, SweepReport, run_sweep
-from .report import StoredResult, paper_tables_manifest, table_from_store
+from .report import (
+    StoredResult,
+    paper_tables_manifest,
+    sweep_records,
+    table_from_store,
+)
 from .store import (
     FORMAT_VERSION,
     ResultStore,
@@ -32,7 +36,6 @@ from .store import (
 )
 
 __all__ = [
-    "Cell",
     "FORMAT_VERSION",
     "Grid",
     "Manifest",
@@ -50,5 +53,6 @@ __all__ = [
     "load_store",
     "paper_tables_manifest",
     "run_sweep",
+    "sweep_records",
     "table_from_store",
 ]

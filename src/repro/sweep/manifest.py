@@ -3,23 +3,26 @@
 A manifest names one or more parameter grids over the paper's experiment
 axes (scheme × partition × compression × n × p × sparse ratio); the
 orchestrator (:mod:`repro.sweep.orchestrator`) expands it into an ordered
-list of :class:`Cell`\\ s and runs each through a
-:class:`~repro.runtime.session.RunSession`.
+list of :class:`~repro.runtime.session.RunRequest`\\ s and runs each
+through a :class:`~repro.runtime.session.RunSession`.
 
-The format is deliberately small and strict — unknown keys are rejected
-with the full sorted key listing (the :class:`~repro.faults.spec.FaultSpec`
-convention), axis values are validated against the registries in
-:mod:`repro.core.registry`, and expansion is a *pure function* of the
-manifest: a fixed nested-loop axis order and a seed rule derived only from
-cell parameters.  That purity is what makes resume sound: the store
-records a cell by its :attr:`Cell.cell_id` — a SHA-256 prefix of the
-canonical-JSON parameter dict, stable under key reordering — and the
+The format is deliberately small and strict.  A grid owns only its axis
+shapes (scalar or list, non-empty, no duplicates, the ``mesh_shapes``
+mapping); every expanded cell is validated by
+:meth:`RunRequest.from_dict <repro.runtime.session.RunRequest.from_dict>`,
+the same validator the CLI and the run service use, so a bad value
+fails with the same one-line message wherever it is written.  Expansion
+is a *pure function* of the manifest: a fixed nested-loop axis order and
+a seed rule derived only from cell parameters.  That purity is what
+makes resume sound: the store records a cell by its
+:attr:`~repro.runtime.session.RunRequest.cell_id` — a SHA-256 prefix of
+the canonical-JSON parameter dict, stable under key reordering — and the
 manifest by :meth:`Manifest.manifest_hash`, so a drifted manifest can
 never silently reuse stale results (DESIGN.md §"Sweep orchestration").
 
-Cell seeds follow the published-table recipe ``seed + n + 131 * p``
-(:mod:`repro.runtime.experiments`): with ``"seed": 2002`` a manifest grid
-reproduces the exact matrices of Tables 3–5.
+Cell seeds follow the published-table recipe ``seed + n + 131 * p``:
+with ``"seed": 2002`` a manifest grid reproduces the exact matrices of
+Tables 3–5.
 """
 
 from __future__ import annotations
@@ -27,16 +30,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
-from ..core.registry import COMPRESSIONS, PARTITIONS, SCHEMES
-from ..machine.cost_model import CostModel, sp2_cost_model
-from ..runtime.session import RunRequest
+from ..faults.spec import FaultSpec
+from ..runtime.session import RequestError, RunRequest, canonical_json
 
 __all__ = [
-    "Cell",
     "Grid",
     "Manifest",
     "ManifestError",
@@ -44,16 +45,10 @@ __all__ = [
     "cell_seed",
 ]
 
-#: per-processor seed stride of the table recipe (experiments.py)
+#: per-processor seed stride of the table recipe
 SEED_STRIDE_P = 131
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-
-def canonical_json(obj: Any) -> str:
-    """The canonical encoding hashes and the store are defined over:
-    sorted keys, no whitespace — byte-stable under key reordering."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def cell_seed(base_seed: int, n: int, n_procs: int) -> int:
@@ -65,9 +60,6 @@ class ManifestError(ValueError):
     """A manifest failed schema validation (message is CLI-friendly)."""
 
 
-# ----------------------------------------------------------------------
-# validation helpers (FaultSpec's strictness conventions)
-# ----------------------------------------------------------------------
 def _reject_unknown(data: Mapping[str, Any], known: Sequence[str], what: str) -> None:
     unknown = sorted(set(data) - set(known))
     if unknown:
@@ -85,66 +77,21 @@ def _as_list(value: Any, key: str) -> list[Any]:
     return [value]
 
 
-def _int_axis(values: list[Any], key: str) -> tuple[int, ...]:
-    out: list[int] = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ManifestError(f"grid axis {key!r} values must be integers, got {v!r}")
-        if v < 1:
-            raise ManifestError(f"grid axis {key!r} values must be >= 1, got {v}")
-        out.append(v)
-    if len(set(out)) != len(out):
-        raise ManifestError(f"grid axis {key!r} has duplicate values: {values}")
-    return tuple(out)
-
-
-def _ratio_axis(values: list[Any], key: str) -> tuple[float, ...]:
-    out: list[float] = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ManifestError(f"grid axis {key!r} values must be numbers, got {v!r}")
-        v = float(v)
-        if not 0.0 < v <= 1.0:
-            raise ManifestError(
-                f"grid axis {key!r} values must be in (0, 1], got {v}"
-            )
-        out.append(v)
-    if len(set(out)) != len(out):
-        raise ManifestError(f"grid axis {key!r} has duplicate values: {values}")
-    return tuple(out)
-
-
-def _name_axis(
-    values: list[Any], key: str, registry: Mapping[str, Any], what: str
-) -> tuple[str, ...]:
-    out: list[str] = []
-    for v in values:
-        if not isinstance(v, str):
-            raise ManifestError(f"grid axis {key!r} values must be strings, got {v!r}")
-        if v.lower() not in registry:
-            raise ManifestError(
-                f"unknown {what} {v!r} in grid axis {key!r}; "
-                f"available: {sorted(registry)}"
-            )
-        out.append(v.lower())
-    if len(set(out)) != len(out):
-        raise ManifestError(f"grid axis {key!r} has duplicate values: {values}")
-    return tuple(out)
-
-
 def _mesh_shapes(
-    value: Any, n_procs: tuple[int, ...], partitions: tuple[str, ...]
-) -> tuple[tuple[int, tuple[int, int]], ...]:
+    value: Any, n_procs: Sequence[Any], partitions: Sequence[Any]
+) -> tuple[tuple[int, Any], ...]:
+    """The ``mesh_shapes`` mapping: p on the axis -> raw [rows, cols]
+    (the shape itself is checked per cell by ``RunRequest.from_dict``)."""
     if not isinstance(value, Mapping):
         raise ManifestError(
             f"grid key 'mesh_shapes' must be an object mapping p -> [rows, cols], "
             f"got {value!r}"
         )
-    if "mesh2d" not in partitions:
+    if not any(_is_mesh2d(p) for p in partitions):
         raise ManifestError(
             "grid key 'mesh_shapes' is only meaningful with the 'mesh2d' partition"
         )
-    out: list[tuple[int, tuple[int, int]]] = []
+    out: list[tuple[int, Any]] = []
     for raw_p, shape in value.items():
         try:
             p = int(raw_p)
@@ -156,146 +103,45 @@ def _mesh_shapes(
             raise ManifestError(
                 f"mesh_shapes key {p} is not on the 'n_procs' axis {list(n_procs)}"
             )
-        if (
-            not isinstance(shape, list)
-            or len(shape) != 2
-            or any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in shape)
-        ):
-            raise ManifestError(
-                f"mesh_shapes[{p}] must be [rows, cols] with positive integers, "
-                f"got {shape!r}"
-            )
-        if shape[0] * shape[1] != p:
-            raise ManifestError(
-                f"mesh_shapes[{p}] = {shape} does not factor {p} processors"
-            )
-        out.append((p, (shape[0], shape[1])))
-    return tuple(sorted(out))
+        out.append((p, shape))
+    return tuple(sorted(out, key=lambda item: item[0]))
 
 
-# ----------------------------------------------------------------------
-# the expanded unit of work
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Cell:
-    """One expanded grid point — everything one run needs, by value.
+def _is_mesh2d(partition: Any) -> bool:
+    return isinstance(partition, str) and partition.lower() == "mesh2d"
 
-    ``seed`` is derived from the manifest seed by :func:`cell_seed`; it is
-    stored explicitly so a store record is self-describing.  ``cell_id``
-    hashes the canonical parameter dict, so it is independent of manifest
-    key order and of which grid produced the cell.
-    """
 
-    scheme: str
-    partition: str
-    compression: str
-    n: int
-    n_procs: int
-    sparse_ratio: float
-    seed: int
-    mesh_shape: tuple[int, int] | None = None
-
-    def params(self) -> dict[str, Any]:
-        """The canonical JSON-compatible parameter dict (ID + store form)."""
-        out: dict[str, Any] = {
-            "scheme": self.scheme,
-            "partition": self.partition,
-            "compression": self.compression,
-            "n": self.n,
-            "n_procs": self.n_procs,
-            "sparse_ratio": self.sparse_ratio,
-            "seed": self.seed,
-        }
-        if self.mesh_shape is not None:
-            out["mesh_shape"] = list(self.mesh_shape)
-        return out
-
-    @property
-    def cell_id(self) -> str:
-        """16-hex-digit stable ID: SHA-256 prefix of the canonical params."""
-        digest = hashlib.sha256(canonical_json(self.params()).encode("ascii"))
-        return digest.hexdigest()[:16]
-
-    def to_request(
-        self,
-        *,
-        cost: CostModel | None = None,
-        backend: str | None = None,
-        executor: str | None = None,
-    ) -> RunRequest:
-        """The session-layer request for this cell.
-
-        ``backend``/``executor`` are *run-time placement* overrides — they
-        never change measured results (DESIGN.md §"Execution tiers"), so
-        they are not part of the cell identity and not recorded in the
-        store.
-        """
-        return RunRequest(
-            scheme=self.scheme,
-            n=self.n,
-            n_procs=self.n_procs,
-            partition=self.partition,
-            compression=self.compression,
-            sparse_ratio=self.sparse_ratio,
-            seed=self.seed,
-            mesh_shape=self.mesh_shape,
-            cost=cost if cost is not None else sp2_cost_model(),
-            backend=backend,
-            executor=executor,
-        )
-
-    @classmethod
-    def from_params(cls, params: Mapping[str, Any]) -> "Cell":
-        """Rebuild a cell from its :meth:`params` dict (store records,
-        worker processes)."""
-        _reject_unknown(
-            params,
-            (
-                "scheme",
-                "partition",
-                "compression",
-                "n",
-                "n_procs",
-                "sparse_ratio",
-                "seed",
-                "mesh_shape",
-            ),
-            "cell params",
-        )
-        mesh = params.get("mesh_shape")
-        return cls(
-            scheme=params["scheme"],
-            partition=params["partition"],
-            compression=params["compression"],
-            n=params["n"],
-            n_procs=params["n_procs"],
-            sparse_ratio=params["sparse_ratio"],
-            seed=params["seed"],
-            mesh_shape=(mesh[0], mesh[1]) if mesh is not None else None,
-        )
+def _cell(data: dict[str, Any]) -> RunRequest:
+    try:
+        return RunRequest.from_dict(data)
+    except RequestError as exc:
+        raise ManifestError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
 # one declared grid
 # ----------------------------------------------------------------------
-_GRID_KEYS = (
-    "scheme",
-    "partition",
-    "compression",
-    "n",
-    "n_procs",
-    "sparse_ratio",
-    "mesh_shapes",
-)
+#: the expansion axes, in ``to_dict`` order, with the paper's fixed knobs
+#: as defaults (row partition, CRS compression, sparse ratio 0.1)
+_AXES: dict[str, Any] = {
+    "scheme": None,
+    "partition": "row",
+    "compression": "crs",
+    "n": None,
+    "n_procs": None,
+    "sparse_ratio": 0.1,
+}
+_GRID_KEYS = (*_AXES, "mesh_shapes", "faults", "fault_seed")
 
 
 @dataclass(frozen=True)
 class Grid:
     """One rectangular block of the sweep: the cross product of its axes.
 
-    Axis defaults mirror the paper's fixed knobs (row partition, CRS
-    compression, sparse ratio 0.1).  ``mesh_shapes`` pins the processor
-    mesh per p for the ``mesh2d`` partition, like Table 5's 2×2/4×4/8×8.
+    ``mesh_shapes`` pins the processor mesh per p for the ``mesh2d``
+    partition, like Table 5's 2×2/4×4/8×8.  ``faults``/``fault_seed``
+    re-derive every cell under one fault plan; they join the cell
+    identity only when present.
     """
 
     scheme: tuple[str, ...]
@@ -305,6 +151,8 @@ class Grid:
     compression: tuple[str, ...] = ("crs",)
     sparse_ratio: tuple[float, ...] = (0.1,)
     mesh_shapes: tuple[tuple[int, tuple[int, int]], ...] = ()
+    faults: FaultSpec | None = None
+    fault_seed: int | None = None
 
     def mesh_shape_for(self, p: int) -> tuple[int, int] | None:
         for q, shape in self.mesh_shapes:
@@ -314,53 +162,58 @@ class Grid:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Grid":
+        """Parse one grid; every cell of it is validated (and its names
+        normalised) by ``RunRequest.from_dict``."""
         if not isinstance(data, Mapping):
             raise ManifestError(f"each grid must be an object, got {data!r}")
         _reject_unknown(data, _GRID_KEYS, "grid")
         for required in ("scheme", "n", "n_procs"):
             if required not in data:
                 raise ManifestError(f"grid is missing required key {required!r}")
-        partition = _name_axis(
-            _as_list(data.get("partition", "row"), "partition"),
-            "partition", PARTITIONS, "partition method",
-        )
-        n_procs = _int_axis(_as_list(data["n_procs"], "n_procs"), "n_procs")
+        axes = {
+            key: _as_list(data.get(key, default), key) for key, default in _AXES.items()
+        }
         mesh_raw = data.get("mesh_shapes")
-        return cls(
-            scheme=_name_axis(
-                _as_list(data["scheme"], "scheme"), "scheme", SCHEMES, "scheme"
-            ),
-            n=_int_axis(_as_list(data["n"], "n"), "n"),
-            n_procs=n_procs,
-            partition=partition,
-            compression=_name_axis(
-                _as_list(data.get("compression", "crs"), "compression"),
-                "compression", COMPRESSIONS, "compression method",
-            ),
-            sparse_ratio=_ratio_axis(
-                _as_list(data.get("sparse_ratio", 0.1), "sparse_ratio"),
-                "sparse_ratio",
-            ),
+        raw = cls(
+            **{key: tuple(values) for key, values in axes.items()},
             mesh_shapes=(
-                _mesh_shapes(mesh_raw, n_procs, partition) if mesh_raw is not None else ()
+                _mesh_shapes(mesh_raw, axes["n_procs"], axes["partition"])
+                if mesh_raw is not None
+                else ()
             ),
+            faults=data.get("faults"),
+            fault_seed=data.get("fault_seed"),
+        )
+        cells = tuple(raw.expand(0))
+        normal = {
+            key: tuple(dict.fromkeys(getattr(cell, key) for cell in cells))
+            for key in axes
+        }
+        for key, values in axes.items():
+            if len(normal[key]) != len(values):
+                raise ManifestError(f"grid axis {key!r} has duplicate values: {values}")
+        return replace(
+            raw,
+            **normal,
+            mesh_shapes=tuple(sorted(
+                {(c.n_procs, c.mesh_shape) for c in cells if c.mesh_shape is not None}
+            )),
+            faults=cells[0].faults,
+            fault_seed=None if raw.fault_seed is None else cells[0].fault_seed,
         )
 
     def to_dict(self) -> dict[str, Any]:
         """Normalised form: every axis a list, in fixed key order."""
-        out: dict[str, Any] = {
-            "scheme": list(self.scheme),
-            "partition": list(self.partition),
-            "compression": list(self.compression),
-            "n": list(self.n),
-            "n_procs": list(self.n_procs),
-            "sparse_ratio": list(self.sparse_ratio),
-        }
+        out: dict[str, Any] = {key: list(getattr(self, key)) for key in _AXES}
         if self.mesh_shapes:
             out["mesh_shapes"] = {str(p): list(s) for p, s in self.mesh_shapes}
+        if self.faults is not None:
+            out["faults"] = self.faults.to_dict()
+        if self.fault_seed is not None:
+            out["fault_seed"] = self.fault_seed
         return out
 
-    def expand(self, base_seed: int) -> Iterator[Cell]:
+    def expand(self, base_seed: int) -> Iterator[RunRequest]:
         """The grid's cells in the fixed nested-loop axis order.
 
         The order (partition → compression → sparse_ratio → n_procs → n →
@@ -368,26 +221,31 @@ class Grid:
         are adjacent, so a warm session shares their generated matrix.
         """
         for partition in self.partition:
-            mesh = self.mesh_shapes if partition == "mesh2d" else ()
             for compression in self.compression:
                 for ratio in self.sparse_ratio:
                     for p in self.n_procs:
-                        shape = None
-                        for q, s in mesh:
-                            if q == p:
-                                shape = s
+                        shape = self.mesh_shape_for(p) if _is_mesh2d(partition) else None
                         for n in self.n:
                             for scheme in self.scheme:
-                                yield Cell(
-                                    scheme=scheme,
-                                    partition=partition,
-                                    compression=compression,
-                                    n=n,
-                                    n_procs=p,
-                                    sparse_ratio=ratio,
-                                    seed=cell_seed(base_seed, n, p),
-                                    mesh_shape=shape,
-                                )
+                                yield _cell({
+                                    "scheme": scheme,
+                                    "partition": partition,
+                                    "compression": compression,
+                                    "n": n,
+                                    "n_procs": p,
+                                    "sparse_ratio": ratio,
+                                    "seed": _seed(base_seed, n, p),
+                                    "mesh_shape": shape,
+                                    "faults": self.faults,
+                                    "fault_seed": self.fault_seed,
+                                })
+
+
+def _seed(base_seed: int, n: Any, p: Any) -> int | None:
+    try:
+        return cell_seed(base_seed, n, p)
+    except TypeError:
+        return None  # a non-numeric n or p; from_dict names the culprit
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +262,7 @@ class Manifest:
     grids: tuple[Grid, ...]
     description: str = ""
     seed: int = 0
-    _cells: tuple[Cell, ...] = field(
+    _cells: tuple[RunRequest, ...] = field(
         default=(), init=False, repr=False, compare=False
     )
 
@@ -425,7 +283,7 @@ class Manifest:
         cells = tuple(
             cell for grid in self.grids for cell in grid.expand(self.seed)
         )
-        seen: dict[str, Cell] = {}
+        seen: dict[str, RunRequest] = {}
         for cell in cells:
             prior = seen.get(cell.cell_id)
             if prior is not None:
@@ -437,7 +295,7 @@ class Manifest:
         object.__setattr__(self, "_cells", cells)
 
     # -- expansion ------------------------------------------------------
-    def expand(self) -> tuple[Cell, ...]:
+    def expand(self) -> tuple[RunRequest, ...]:
         """All cells, grids concatenated in manifest order.  Pure: the
         same manifest always yields the same ordered tuple."""
         return self._cells

@@ -30,15 +30,15 @@ spans, which the Chrome exporter renders on a dedicated sweep lane.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import connection as mpconnection
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from ..machine.export import result_to_dict
 from ..obs.spans import Observability
-from ..runtime.session import RunSession
-from .manifest import Cell, Manifest, canonical_json
+from ..runtime.session import RunRequest, RunSession
+from .manifest import Manifest, canonical_json
 from .store import ResultStore
 
 __all__ = ["SweepCellError", "SweepError", "SweepReport", "run_sweep"]
@@ -78,12 +78,17 @@ class SweepReport:
 
 def _run_cell(
     session: RunSession,
-    cell: Cell,
+    cell: RunRequest,
     executor: str | None,
     backend: str | None,
 ) -> dict[str, Any]:
-    """Execute one cell and serialise its result (no wall-clock fields)."""
-    result = session.run(cell.to_request(executor=executor, backend=backend))
+    """Execute one cell and serialise its result (no wall-clock fields).
+
+    ``executor``/``backend`` are *run-time placement* — they never change
+    measured results (DESIGN.md §"Execution tiers"), so they are not part
+    of the cell identity and not recorded in the store.
+    """
+    result = session.run(replace(cell, executor=executor, backend=backend))
     return result_to_dict(result)
 
 
@@ -92,7 +97,7 @@ def _cell_worker_main(
 ) -> None:
     """Worker process entry point: run one cell, report, exit."""
     try:
-        cell = Cell.from_params(params)
+        cell = RunRequest.from_dict(params)
         with RunSession(reuse_machines=False) as session:
             payload = _run_cell(session, cell, executor, backend)
         conn.send(("ok", payload))
@@ -108,14 +113,14 @@ def _cell_worker_main(
 @dataclass
 class _Worker:
     seq: int
-    cell: Cell
+    cell: RunRequest
     proc: Any
     conn: Any
     attempts: int
 
 
 def _spawn_worker(
-    ctx: Any, seq: int, cell: Cell, executor: str | None, backend: str | None,
+    ctx: Any, seq: int, cell: RunRequest, executor: str | None, backend: str | None,
     attempts: int,
 ) -> _Worker:
     parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -183,7 +188,7 @@ def run_sweep(
     executed = 0
     retried = 0
 
-    def commit(seq: int, cell: Cell, payload: dict[str, Any]) -> None:
+    def commit(seq: int, cell: RunRequest, payload: dict[str, Any]) -> None:
         nonlocal executed
         record = store.append(cell, payload)
         records.append(record)
@@ -236,7 +241,7 @@ def run_sweep(
 
 
 def _run_fanned_out(
-    cells: tuple[Cell, ...],
+    cells: tuple[RunRequest, ...],
     skipped: int,
     jobs: int,
     executor: str | None,
@@ -244,14 +249,14 @@ def _run_fanned_out(
     obs: Observability,
     worker_retries: int,
     on_worker_spawn: Callable[[int, int], None] | None,
-    commit: Callable[[int, Cell, dict[str, Any]], None],
+    commit: Callable[[int, RunRequest, dict[str, Any]], None],
 ) -> int:
     """One worker process per cell, ``jobs`` at a time, in-order commits."""
     # fork keeps worker startup cheap and inherits the warm interpreter;
     # workers are non-daemonic so cells may fork rank workers themselves
     ctx = multiprocessing.get_context("fork")
     active: dict[Any, _Worker] = {}
-    buffered: dict[int, tuple[Cell, dict[str, Any]]] = {}
+    buffered: dict[int, tuple[RunRequest, dict[str, Any]]] = {}
     next_spawn = skipped
     next_commit = skipped
     retried = 0

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .manifest import Cell, Manifest, canonical_json
+from ..runtime.session import RunRequest
+from .manifest import Manifest, canonical_json
 
 __all__ = [
     "FORMAT_VERSION",
@@ -74,7 +75,7 @@ def header_record(manifest: Manifest) -> dict[str, Any]:
     }
 
 
-def cell_record(seq: int, cell: Cell, result: Mapping[str, Any]) -> dict[str, Any]:
+def cell_record(seq: int, cell: RunRequest, result: Mapping[str, Any]) -> dict[str, Any]:
     """One committed cell line (``result`` = ``result_to_dict`` payload)."""
     return {
         "kind": "cell",
@@ -187,7 +188,7 @@ def _check_manifest(state: StoreState, manifest: Manifest, path: Path) -> None:
         )
 
 
-def _check_prefix(state: StoreState, cells: tuple[Cell, ...], path: Path) -> None:
+def _check_prefix(state: StoreState, cells: tuple[RunRequest, ...], path: Path) -> None:
     if len(state.records) > len(cells):
         raise StoreError(
             f"store {path} holds {len(state.records)} records but the "
@@ -263,7 +264,7 @@ class ResultStore:
         self._fh.write(_encode(record))
         os.fsync(self._fh.fileno())
 
-    def append(self, cell: Cell, result: Mapping[str, Any]) -> dict[str, Any]:
+    def append(self, cell: RunRequest, result: Mapping[str, Any]) -> dict[str, Any]:
         """Commit the next cell record (fsync'd before returning)."""
         if self._fh is None:
             raise StoreError(f"result store {self.path} is closed")

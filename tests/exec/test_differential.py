@@ -191,15 +191,16 @@ def test_error_positions_identical():
     assert outs[0] == outs[1]
 
 
-def test_executor_selection_surfaces():
+def test_executor_selection_surfaces(monkeypatch):
     """All three selection surfaces agree: Machine kwarg, run_scheme
     kwarg, and the REPRO_EXECUTOR environment default."""
-    from repro.exec import use_executor
+    from repro.exec import dispatch
 
     matrix = random_sparse((40, 40), 0.1, seed=3)
     base = run_scheme("ed", matrix, n_procs=4, executor="process")
-    with use_executor("process"):
-        ambient = run_scheme("ed", matrix, n_procs=4)
+    # the default REPRO_EXECUTOR seeds at import, as a process would see it
+    monkeypatch.setattr(dispatch, "_default_name", "process")
+    ambient = run_scheme("ed", matrix, n_procs=4)
     assert result_to_dict(base) == result_to_dict(ambient)
 
 

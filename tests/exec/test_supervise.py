@@ -28,7 +28,6 @@ from repro.exec import (
     current_supervision,
     get_executor,
     rank_task,
-    set_default_supervision,
     shutdown_escalations,
     use_supervision,
 )
@@ -149,16 +148,13 @@ class TestSelection:
             with use_supervision(None):
                 assert current_supervision() == spec
 
-    def test_process_default(self):
-        spec = SuperviseSpec(max_restarts=7)
-        set_default_supervision(spec)
-        try:
-            assert current_supervision() == spec
-            # an explicit scope still wins
-            with use_supervision(SuperviseSpec(max_restarts=1)):
-                assert current_supervision().max_restarts == 1
-        finally:
-            set_default_supervision(None)
+    def test_process_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SUPERVISE", "1")
+        assert current_supervision() == SuperviseSpec()
+        # an explicit scope still wins over the environment default
+        with use_supervision(SuperviseSpec(max_restarts=1)):
+            assert current_supervision().max_restarts == 1
+        monkeypatch.delenv("REPRO_SUPERVISE")
         assert current_supervision() is None
 
     def test_env_on_values(self, monkeypatch):

@@ -75,18 +75,13 @@ class TestCommands:
         assert "Figure 1" in out
 
     def test_report_written(self, tmp_path, capsys, monkeypatch):
-        # keep the report fast by shrinking the grids
-        import repro.runtime.experiments as experiments
-        import repro.runtime.report as report
+        # keep the report fast by shrinking the paper-table grids
+        import repro.sweep as sweep
 
-        original = experiments.reproduce_table
-
-        def small(table_id, **kwargs):
-            kwargs.setdefault("sizes", [40])
-            kwargs.setdefault("proc_counts", [4])
-            return original(table_id, **kwargs)
-
-        monkeypatch.setattr(report, "reproduce_table", small)
+        original = sweep.paper_tables_manifest
+        monkeypatch.setattr(sweep, "paper_tables_manifest", lambda: original(
+            sizes=[40], proc_counts=[4], mesh_sizes=[40], mesh_proc_counts=[4],
+        ))
         target = tmp_path / "EXPERIMENTS.md"
         assert main(["report", str(target)]) == 0
         text = target.read_text()
@@ -236,18 +231,19 @@ class TestBackendFlag:
         assert "lane" in capsys.readouterr().out
 
     def test_tables_accepts_backend(self, capsys, monkeypatch):
-        import repro.runtime.experiments as experiments
+        import repro.sweep as sweep
 
         seen = {}
-        original = experiments.reproduce_table
+        original = sweep.sweep_records
 
-        def small(table_id, **kwargs):
+        def small(manifest, **kwargs):
             seen["backend"] = kwargs.get("backend")
-            kwargs.setdefault("sizes", [40])
-            kwargs.setdefault("proc_counts", [4])
-            return original(table_id, **kwargs)
+            small_grid = sweep.paper_tables_manifest(
+                sizes=[40], proc_counts=[4], mesh_sizes=[40], mesh_proc_counts=[4]
+            )
+            return original(small_grid, **kwargs)
 
-        monkeypatch.setattr("repro.runtime.reproduce_table", small)
+        monkeypatch.setattr(sweep, "sweep_records", small)
         assert main(["tables", "table3", "--backend", "python"]) == 0
         assert seen["backend"] == "python"
 
@@ -276,8 +272,10 @@ class TestRecoveryFlag:
             build_parser().parse_args(["run", "--recovery", "pray"])
 
     def test_recovery_without_faults_is_an_error(self, capsys):
-        assert main(["run", "--scheme", "sfc", "--n", "24", "--procs", "2",
-                     "--recovery", "host-resend"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scheme", "sfc", "--n", "24", "--procs", "2",
+                  "--recovery", "host-resend"])
+        assert exc.value.code == 2
         assert "needs a fault plan" in capsys.readouterr().out
 
     @pytest.mark.parametrize("policy", ["host-resend", "peer-redistribute"])
@@ -373,3 +371,33 @@ class TestSuperviseFlag:
         assert main(["tables", "table4", "--quick", "--executor", "process",
                      "--supervise", path]) == 0
         assert "table4" in capsys.readouterr().out
+
+
+class TestEnvironmentDefaults:
+    """``REPRO_EXECUTOR`` / ``REPRO_KERNEL_BACKEND`` are user input too: a
+    bad value exits 2 with the same one line a bad flag gets."""
+
+    @pytest.mark.parametrize(
+        "var, message",
+        [
+            ("REPRO_EXECUTOR", "error: unknown executor 'bogus' (choose from process, sim)"),
+            ("REPRO_KERNEL_BACKEND",
+             "error: unknown kernel backend 'bogus' (choose from numpy, python)"),
+        ],
+    )
+    def test_bad_env_value_is_one_line_exit_2(self, var, message):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, var: "bogus", "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--scheme", "ed",
+             "--n", "24", "--procs", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == message + "\n"
+        assert "Traceback" not in proc.stderr

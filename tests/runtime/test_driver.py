@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine import CostModel, RingTopology, unit_cost_model
 from repro.partition import BinPackingRowPartition, Mesh2DPartition, RowPartition
-from repro.runtime import ExperimentConfig, run_config, run_scheme
+from repro.runtime import RunRequest, RunSession, run_scheme
 from repro.sparse import random_sparse
 
 
@@ -56,30 +56,34 @@ class TestRunScheme:
 
 
 class TestExperimentConfig:
+    """The run description (:class:`RunRequest`) and its one-shot run."""
+
     def test_make_matrix_matches_spec(self):
-        cfg = ExperimentConfig(scheme="ed", n=50, n_procs=4, sparse_ratio=0.2, seed=1)
-        m = cfg.make_matrix()
+        cfg = RunRequest(scheme="ed", n=50, n_procs=4, sparse_ratio=0.2, seed=1)
+        m = RunSession().matrix_for(cfg)
         assert m.shape == (50, 50)
         assert m.nnz == round(0.2 * 2500)
 
     def test_matrix_deterministic(self):
-        cfg = ExperimentConfig(scheme="ed", n=30, n_procs=4, seed=5)
-        assert cfg.make_matrix() == cfg.make_matrix()
+        cfg = RunRequest(scheme="ed", n=30, n_procs=4, seed=5)
+        assert RunSession().matrix_for(cfg) == RunSession().matrix_for(cfg)
 
     def test_partition_method_resolution(self):
-        cfg = ExperimentConfig(scheme="sfc", n=10, n_procs=4, partition="mesh2d",
-                               mesh_shape=(4, 1))
+        cfg = RunRequest(scheme="sfc", n=10, n_procs=4, partition="mesh2d",
+                         mesh_shape=(4, 1))
         method = cfg.partition_method()
         assert isinstance(method, Mesh2DPartition)
         assert method.mesh_shape == (4, 1)
 
     def test_run_config_generates_matrix(self):
-        cfg = ExperimentConfig(scheme="cfs", n=24, n_procs=3)
-        result = run_config(cfg)
+        cfg = RunRequest(scheme="cfs", n=24, n_procs=3)
+        with RunSession(reuse_machines=False) as session:
+            result = session.run(cfg)
         assert result.global_shape == (24, 24)
 
     def test_run_config_accepts_shared_matrix(self):
-        cfg = ExperimentConfig(scheme="cfs", n=24, n_procs=3)
+        cfg = RunRequest(scheme="cfs", n=24, n_procs=3)
         shared = random_sparse((24, 24), 0.1, seed=77)
-        result = run_config(cfg, shared)
+        with RunSession(reuse_machines=False) as session:
+            result = session.run(cfg, matrix=shared)
         assert result.global_nnz == shared.nnz

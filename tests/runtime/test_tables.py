@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.runtime import (
-    format_comparison_row,
-    format_table,
-    reproduce_table,
-    shape_report,
-)
+from repro.runtime import format_comparison_row, format_table, shape_report
+
+from ..paper_grid import reduced_table
 
 
 @pytest.fixture(scope="module")
 def repro():
-    return reproduce_table("table3", sizes=[60, 120], proc_counts=[4])
+    return reduced_table("table3", [60, 120], [4])[1]
 
 
 class TestFormatting:
@@ -49,7 +46,7 @@ class TestShapeReport:
             assert 0.0 <= report[key] <= 1.0
 
     def test_paper_scale_shapes_all_hold(self):
-        big = reproduce_table("table3", sizes=[200], proc_counts=[4])
+        _, big = reduced_table("table3", [200], [4])
         report = shape_report(big)
         assert report["distribution_order_ed_cfs_sfc"] == 1.0
         assert report["compression_order_sfc_cfs_ed"] == 1.0

@@ -14,7 +14,6 @@ from repro.service import (
     reject_response,
     result_response,
 )
-from repro.service.protocol import session_key
 
 
 def parse(payload, **kwargs):
@@ -186,5 +185,5 @@ class TestResponseLines:
         a = parse({"scheme": "ed", "n": 64, "n_procs": 4}).config
         b = parse({"scheme": "sfc", "n": 32, "n_procs": 4, "seed": 3}).config
         c = parse({"scheme": "ed", "n": 64, "n_procs": 2}).config
-        assert session_key(a) == session_key(b)  # same machine shape
-        assert session_key(a) != session_key(c)
+        assert a.machine_key() == b.machine_key()  # same machine shape
+        assert a.machine_key() != c.machine_key()

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.service import QueueFullError, RunScheduler, SessionCache
-from repro.service.protocol import parse_request_line, session_key
+from repro.service.protocol import parse_request_line
 
 
 def run_request(n_procs: int = 2, **extra):
@@ -16,8 +16,8 @@ def run_request(n_procs: int = 2, **extra):
     return parse_request_line(json.dumps(payload))
 
 
-KEY2 = session_key(run_request(2).config)
-KEY4 = session_key(run_request(4).config)
+KEY2 = run_request(2).config.machine_key()
+KEY4 = run_request(4).config.machine_key()
 
 
 class TestSessionCache:

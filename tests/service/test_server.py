@@ -4,7 +4,7 @@ Every test talks to a real :class:`RunService` on a unix socket (the
 ``make_service`` fixture).  The headline guarantees pinned here:
 
 * a served result is **byte-identical** (canonical JSON) to a direct
-  ``run_config`` call with the same parameters, on both executors;
+  one-shot run with the same parameters, on both executors;
 * one misbehaving client (malformed line, mid-run disconnect, queue
   overflow) never degrades service for the next one;
 * the ``/metrics`` totals reconcile with the per-result payloads.
@@ -19,7 +19,7 @@ import threading
 import pytest
 
 from repro.machine.export import result_to_dict
-from repro.runtime import ExperimentConfig, run_config
+from repro.runtime import RunRequest, RunSession
 from repro.service import ServiceClient, encode_line
 from repro.sweep import canonical_json
 
@@ -42,7 +42,8 @@ class TestServedFidelity:
         params = dict(scheme="sfc", n=48, n_procs=2, seed=5)
         with ServiceClient(socket_path=service.socket_path) as client:
             served = client.run(executor=executor, **params)
-        direct = run_config(ExperimentConfig(executor=executor, **params))
+        with RunSession(reuse_machines=False) as session:
+            direct = session.run(RunRequest(executor=executor, **params))
         assert canonical_json(served) == canonical_json(result_to_dict(direct))
 
     def test_warm_repeat_is_identical_and_hits_the_session_cache(

@@ -10,10 +10,12 @@ process stores are byte-identical to each other.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.machine.export import result_to_dict
-from repro.runtime import ExperimentConfig, run_config
+from repro.runtime import RunSession
 from repro.sweep import Manifest, canonical_json, load_store, run_sweep
 
 ONE_CELL = {
@@ -26,17 +28,8 @@ ONE_CELL = {
 
 def _driver_payload(executor):
     cell = Manifest.from_dict(ONE_CELL).expand()[0]
-    config = ExperimentConfig(
-        scheme=cell.scheme,
-        n=cell.n,
-        n_procs=cell.n_procs,
-        partition=cell.partition,
-        compression=cell.compression,
-        sparse_ratio=cell.sparse_ratio,
-        seed=cell.seed,
-        executor=executor,
-    )
-    return result_to_dict(run_config(config))
+    with RunSession(reuse_machines=False) as session:
+        return result_to_dict(session.run(replace(cell, executor=executor)))
 
 
 @pytest.mark.parametrize("executor", ["sim", "process"])

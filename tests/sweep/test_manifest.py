@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.sweep import Cell, Manifest, ManifestError, cell_seed
+from repro.runtime import RunRequest
+from repro.sweep import Manifest, ManifestError, cell_seed
 
 
 def _manifest(**overrides):
@@ -23,7 +25,7 @@ class TestSchema:
     def test_minimal_manifest_expands(self):
         m = _manifest()
         assert len(m) == 2 * 2 * 2
-        assert all(isinstance(c, Cell) for c in m.expand())
+        assert all(isinstance(c, RunRequest) for c in m.expand())
 
     def test_defaults_mirror_the_paper_knobs(self):
         cell = _manifest().expand()[0]
@@ -171,18 +173,16 @@ class TestExpansion:
         cell = _manifest().expand()[0]
         params = cell.params()
         shuffled = dict(reversed(list(params.items())))
-        assert Cell.from_params(shuffled).cell_id == cell.cell_id
+        assert RunRequest.from_dict(shuffled).cell_id == cell.cell_id
 
     def test_cell_round_trips_through_params(self):
         for cell in _manifest().expand():
-            assert Cell.from_params(cell.params()) == cell
+            assert RunRequest.from_dict(cell.params()) == cell
 
     def test_to_request_carries_the_cell_and_not_the_placement(self):
         cell = _manifest().expand()[0]
-        request = cell.to_request(executor="process", backend="python")
-        assert (request.scheme, request.n, request.n_procs) == (
-            cell.scheme, cell.n, cell.n_procs
-        )
-        assert request.seed == cell.seed
-        assert request.executor == "process"
+        request = replace(cell, executor="process", backend="python")
+        assert request.cell_id == cell.cell_id
+        assert request.params() == cell.params()
         assert "executor" not in cell.params()
+        assert "backend" not in cell.params()

@@ -12,7 +12,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sweep import Cell, Manifest
+from repro.runtime import RunRequest
+from repro.sweep import Manifest
 
 _SCHEMES = ["sfc", "cfs", "ed"]
 _PARTITIONS = ["row", "column"]
@@ -70,7 +71,7 @@ def test_cell_ids_stable_under_key_reordering(manifest, rng: random.Random):
     for cell in manifest.expand()[:5]:
         items = list(cell.params().items())
         rng.shuffle(items)
-        assert Cell.from_params(dict(items)).cell_id == cell.cell_id
+        assert RunRequest.from_dict(dict(items)).cell_id == cell.cell_id
 
 
 @given(manifests())

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.runtime import reproduce_table
+from repro.runtime import RunRequest, RunSession, run_scheme
 from repro.sweep import (
     Manifest,
     StoreError,
@@ -42,6 +43,28 @@ class TestExampleManifests:
         manifest = Manifest.from_file(EXAMPLES / "smoke.json")
         assert 1 <= len(manifest) <= 12
 
+    def test_cell_ids_and_hashes_are_pinned(self):
+        """Literal ids and hashes: a change to the run description that
+        moves a store byte fails here, not in a stale-store resume."""
+        tables = Manifest.from_file(EXAMPLES / "tables.json")
+        ids = [c.cell_id for c in tables.expand()]
+        assert tables.manifest_hash() == (
+            "bbc1c3a3cf497261e37f82aa456874e1070f694b0bfd0bbe235cfa12b19c2e21"
+        )
+        assert len(ids) == 135
+        assert (ids[0], ids[-1]) == ("f8583fca23c05a27", "3ea9e4873054d438")
+        assert hashlib.sha256(",".join(ids).encode()).hexdigest() == (
+            "85839eb74b0b5ff841dd8cdf9eff8ae8987177bacd05c2d43d36285cf371fd1b"
+        )
+        smoke = Manifest.from_file(EXAMPLES / "smoke.json")
+        assert smoke.manifest_hash() == (
+            "6bce6769746e4bfe5d1cc90dbb7199c662ed7c9eaa5b10e3a554be39fc2fb5aa"
+        )
+        assert [c.cell_id for c in smoke.expand()] == [
+            "6402330bdcd7f22b", "4ac4f4b4fc5dbad6", "77fc3c5c521be5fe",
+            "232b644c376defd0", "492877815345c1b7", "4466a1275d087264",
+        ]
+
 
 class TestTableFromStore:
     @pytest.fixture(scope="class")
@@ -53,15 +76,18 @@ class TestTableFromStore:
         store = tmp_path_factory.mktemp("sweep") / "reduced.jsonl"
         return run_sweep(manifest, store).records
 
-    def test_matches_reproduce_table_exactly(self, records):
-        repro = reproduce_table("table3", sizes=(32, 48), proc_counts=(4,))
+    def test_matches_per_cell_driver_runs_exactly(self, records):
         stored = table_from_store(
             records, "table3", sizes=(32, 48), proc_counts=(4,)
         )
-        for key, cell in repro.cells.items():
-            assert stored.cells[key].t_distribution == cell.t_distribution
-            assert stored.cells[key].t_compression == cell.t_compression
-            assert stored.cells[key].t_total == cell.t_total
+        assert len(stored.cells) == 2 * 3
+        with RunSession() as session:
+            for (p, scheme, n), cell in stored.cells.items():
+                request = RunRequest(scheme=scheme, n=n, n_procs=p, seed=2002 + n + 131 * p)
+                direct = run_scheme(scheme, session.matrix_for(request), n_procs=p)
+                assert cell.t_distribution == direct.t_distribution
+                assert cell.t_compression == direct.t_compression
+                assert cell.t_total == direct.t_total
 
     def test_table4_and_5_render_from_the_same_store(self, records):
         t4 = table_from_store(records, "table4", sizes=(32, 48), proc_counts=(4,))

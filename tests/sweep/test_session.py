@@ -1,26 +1,22 @@
-"""RunSession reuse equivalence and the experiments.py regression pin.
+"""RunSession reuse equivalence and the sweep-vs-driver regression pin.
 
-Satellite 4 of ISSUE 8: ``reproduce_table`` used to rebuild Machine and
-kernel state per grid cell; it now routes through one warm
-:class:`~repro.runtime.session.RunSession`.  These tests pin that the
-routing is *observably identical* — per-cell results (times, wire
-bytes, and the compressed local arrays element-for-element) match
-fresh per-call runs on both executors.
+A sweep runs every cell of a grid through one warm
+:class:`~repro.runtime.session.RunSession`, reusing matrices and
+machines.  These tests pin that the reuse is *observably identical* —
+per-cell results (times, wire bytes, and the compressed local arrays
+element-for-element) match fresh per-call runs on both executors.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.machine.export import result_to_dict
-from repro.runtime import (
-    ExperimentConfig,
-    RunSession,
-    reproduce_table,
-    run_config,
-)
-from repro.sweep import canonical_json
+from repro.runtime import RunRequest, RunSession, run_scheme
+from repro.sweep import canonical_json, paper_tables_manifest, run_sweep
 
 
 def _assert_results_identical(a, b):
@@ -35,8 +31,14 @@ def _assert_results_identical(a, b):
                 np.testing.assert_array_equal(np.asarray(va), np.asarray(vb))
 
 
+def _fresh(request):
+    """A one-shot run: fresh machine, generated matrix."""
+    with RunSession(reuse_machines=False) as session:
+        return session.run(request)
+
+
 _GRID = [
-    ExperimentConfig(scheme=s, n=n, n_procs=4, partition=p, seed=2002 + n)
+    RunRequest(scheme=s, n=n, n_procs=4, partition=p, seed=2002 + n)
     for s in ("sfc", "ed")
     for p in ("row", "column")
     for n in (32, 48)
@@ -45,19 +47,17 @@ _GRID = [
 
 @pytest.mark.parametrize("executor", ["sim", "process"])
 def test_warm_session_equals_fresh_runs(executor):
-    configs = [
-        ExperimentConfig(**{**vars(c), "executor": executor}) for c in _GRID
-    ]
+    configs = [replace(c, executor=executor) for c in _GRID]
     with RunSession() as session:
         warm = [session.run(c) for c in configs]
-    cold = [run_config(c) for c in configs]
+    cold = [_fresh(c) for c in configs]
     for w, c in zip(warm, cold):
         _assert_results_identical(w, c)
 
 
 def test_machine_reuse_actually_happens():
     first = _GRID[0]
-    twin = ExperimentConfig(**{**vars(first), "scheme": "cfs"})
+    twin = replace(first, scheme="cfs")
     with RunSession() as session:
         session.run(first)
         session.run(twin)
@@ -69,7 +69,7 @@ def test_machine_reuse_actually_happens():
 def test_per_run_state_disables_reuse():
     from repro.faults import FaultSpec
 
-    config = ExperimentConfig(
+    config = RunRequest(
         scheme="ed", n=32, n_procs=4, seed=9,
         faults=FaultSpec.lossy(0.05), fault_seed=1,
     )
@@ -78,23 +78,25 @@ def test_per_run_state_disables_reuse():
         assert session._machines == {}  # fault runs always get a fresh machine
 
 
-def test_reproduce_table_matches_per_cell_driver_runs():
-    sizes, procs = (32, 48), (4,)
-    repro = reproduce_table("table3", sizes=sizes, proc_counts=procs)
-    for p in procs:
-        for n in sizes:
-            base = ExperimentConfig(
-                scheme="sfc", n=n, n_procs=p, partition="row",
-                seed=2002 + n + 131 * p,
+@pytest.mark.parametrize("executor", ["sim", "process"])
+def test_sweep_matches_per_cell_driver_runs(tmp_path, executor):
+    """Every record of a reduced paper-tables sweep equals a per-cell
+    ``run_scheme`` on the cell's own matrix."""
+    manifest = paper_tables_manifest(
+        sizes=[32, 48], proc_counts=[4], mesh_sizes=[32], mesh_proc_counts=[4]
+    )
+    report = run_sweep(manifest, tmp_path / "store.jsonl", executor=executor)
+    assert len(report.records) == len(manifest)
+    with RunSession() as session:
+        for cell, record in zip(manifest.expand(), report.records):
+            fresh = run_scheme(
+                cell.scheme, session.matrix_for(cell),
+                partition=cell.partition_method(), n_procs=cell.n_procs,
+                compression=cell.compression, executor=executor,
             )
-            matrix = base.make_matrix()
-            for scheme in ("sfc", "cfs", "ed"):
-                cell = repro.cells[(p, scheme, n)]
-                fresh = run_config(
-                    ExperimentConfig(**{**vars(base), "scheme": scheme}),
-                    matrix=matrix,
-                )
-                _assert_results_identical(cell, fresh)
+            assert canonical_json(record["result"]) == canonical_json(
+                result_to_dict(fresh)
+            )
 
 
 def test_closed_session_refuses_to_run():
