@@ -392,42 +392,6 @@ def _print_fault_summary(result) -> None:
             print(f"      {phase}: {counters}")
 
 
-def _run_on_machine(request, matrix, obs):
-    """One run on a machine the caller keeps: ``--timeline`` renders its
-    trace after the rank workers are gone."""
-    from .core import get_compression, get_scheme
-    from .exec import use_supervision
-    from .faults import FaultInjector
-    from .machine import Machine
-
-    method = request.partition_method()
-    comp = get_compression(request.compression)
-    injector = (
-        FaultInjector(request.faults, seed=request.fault_seed)
-        if request.faults is not None
-        else None
-    )
-    machine = Machine(
-        request.n_procs, faults=injector, backend=request.backend,
-        executor=request.executor, obs=obs,
-    )
-    try:
-        with use_supervision(request.supervise):
-            if request.recovery is not None:
-                from .recovery import run_with_recovery
-
-                result = run_with_recovery(
-                    request.scheme, machine, matrix, method, comp,
-                    policy=request.recovery,
-                )
-            else:
-                plan = method.plan(matrix.shape, request.n_procs)
-                result = get_scheme(request.scheme).run(machine, matrix, plan, comp)
-    finally:
-        machine.shutdown()  # the trace survives for --timeline
-    return result, machine
-
-
 def _cmd_run(args) -> int:
     from dataclasses import replace
 
@@ -454,29 +418,25 @@ def _cmd_run(args) -> int:
             f"reorder={fault_spec.reorder} corrupt={fault_spec.corrupt}"
         )
     results = []
-    last_machine = None
-    last_obs = None
-    with RunSession(reuse_machines=False) as session:
+    obs = None
+    with RunSession() as session:
         matrix = session.matrix_for(base)
         for scheme in schemes:
             request = replace(base, scheme=scheme)
             obs = None
-            if observe:
+            if observe or (args.timeline and scheme == schemes[-1]):
                 from .obs import Observability
 
                 # one recorder per scheme run (the verification contract
-                # compares against exactly one machine's trace)
+                # compares against exactly one run's trace); --timeline
+                # renders the last one's
                 obs = Observability(
                     scheme=scheme, n=args.n, sparse_ratio=args.sparse_ratio,
                     partition=args.partition, compression=args.compression,
                     seed=args.seed,
                 )
-                last_obs = obs
             try:
-                if args.timeline:
-                    result, last_machine = _run_on_machine(request, matrix, obs)
-                else:
-                    result = session.run(request, matrix=matrix, obs=obs)
+                result = session.run(request, matrix=matrix, obs=obs)
             except WorkerCrashError as exc:
                 # degrade=false and the restart budget ran out: one friendly
                 # line (which rank, which task) instead of a traceback
@@ -496,20 +456,20 @@ def _cmd_run(args) -> int:
     if len(results) > 1:
         verify_all_schemes_agree(results)
         print("  all schemes delivered identical local arrays (verified)")
-    if args.timeline and last_machine is not None:
+    if args.timeline and obs is not None and obs.trace is not None:
         print()
-        print(render_timeline(last_machine.trace))
-    if last_obs is not None:
+        print(render_timeline(obs.trace))
+    if observe and obs is not None:
         from .obs import write_chrome_trace, write_jsonl, write_prometheus
 
         if args.trace_out:
-            write_chrome_trace(last_obs, args.trace_out)
+            write_chrome_trace(obs, args.trace_out)
             print(f"wrote Chrome trace to {args.trace_out} (open in ui.perfetto.dev)")
         if args.metrics_out:
-            write_prometheus(last_obs, args.metrics_out)
+            write_prometheus(obs, args.metrics_out)
             print(f"wrote Prometheus metrics to {args.metrics_out}")
         if args.log_out:
-            write_jsonl(last_obs, args.log_out)
+            write_jsonl(obs, args.log_out)
             print(f"wrote run log to {args.log_out} (repro inspect {args.log_out})")
     return 0
 

@@ -113,8 +113,13 @@ def _start_method() -> str:
     return "spawn"  # pragma: no cover - non-fork platforms
 
 
-def _worker_main(conn: Any, rank: int) -> None:
+def _worker_main(conn: Any, rank: int, inherited: list[Any]) -> None:
     """One rank's worker loop: receive envelopes, run tasks, reply.
+
+    ``inherited`` are coordinator-side pipe ends a ``fork`` copied into
+    this process; they are closed first, so the coordinator's death
+    reaches every worker as EOF on its pipe instead of leaving it
+    orphaned.
 
     Envelopes (coordinator → worker):
 
@@ -126,6 +131,8 @@ def _worker_main(conn: Any, rank: int) -> None:
 
     Replies are ``("result", id, TaskResult)``, strictly FIFO.
     """
+    for end in inherited:
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the coordinator decides
     from ..kernels import dispatch as kernel_dispatch
     from ..kernels import use_backend
@@ -226,9 +233,18 @@ class ProcessSession:
         if worker is not None:  # died or was killed: forget its state
             self._forget_rank(rank)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # a forked child shares this process's memory image: hand it the
+        # coordinator ends it must close (this pipe's and every live
+        # session's); spawn pickles args and inherits no descriptors
+        inherited = (
+            [parent_conn]
+            + [c for s in _LIVE_SESSIONS for c in s._conns if c is not None]
+            if self._ctx.get_start_method() == "fork"
+            else []
+        )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, rank),
+            args=(child_conn, rank, inherited),
             name=f"repro-rank-{rank}",
             daemon=True,
         )

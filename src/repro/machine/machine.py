@@ -99,11 +99,12 @@ class Machine:
         §"Execution tiers").
     obs:
         Optional :class:`~repro.obs.spans.Observability` recorder.  When
-        given (and enabled) it subscribes to this machine's trace and
-        mirrors every charged event into spans/metrics; when ``None``
-        the shared inert :data:`~repro.obs.spans.NULL_OBS` is installed
-        and every instrumentation site short-circuits — the golden
-        traces pin that this costs nothing and changes nothing.
+        given (and enabled) it is bound to this machine's trace and reads
+        its spans/metrics off it; when ``None`` the shared inert
+        :data:`~repro.obs.spans.NULL_OBS` is installed and every
+        instrumentation site short-circuits — the golden traces pin that
+        this costs nothing and changes nothing.  A recorder covers one
+        run: :meth:`reset` puts ``NULL_OBS`` back.
     """
 
     def __init__(
@@ -842,17 +843,23 @@ class Machine:
         return self.procs[rank]
 
     def reset(self) -> None:
-        """Clear all processor memories, mailboxes and the trace.
+        """Clear all processor memories and mailboxes; start a new trace.
 
-        An attached fault injector is rewound to its initial seeded state,
-        so ``run → reset → run`` replays the identical fault sequence.
+        The old :class:`TraceLog` is replaced, not cleared, so a recorder
+        bound to the finished run keeps that run's events; the machine
+        goes back to the inert ``NULL_OBS``.  An attached fault injector
+        is rewound to its initial seeded state, so ``run → reset → run``
+        replays the identical fault sequence.
         """
+        from ..obs.spans import NULL_OBS
+
         for p in self.procs:
             p.reset()
         self.host_memory.clear()
         self.host_mailbox.clear()
         self._host_seen_seqs.clear()
-        self.trace.clear()
+        self.trace = TraceLog()
+        self.obs = NULL_OBS
         self.membership.reset()
         if self.faults is not None:
             self.faults.reset()

@@ -93,30 +93,15 @@ class PhaseBreakdown:
 class TraceLog:
     """Append-only event log with per-phase aggregation.
 
-    Observers (the observability layer) can :meth:`subscribe` to see each
-    event as it is recorded; with no subscribers ``record`` pays a single
-    truthiness check, so the golden paths are unaffected.
+    The one ledger of a run: :class:`PhaseBreakdown` and the observability
+    layer's counters are both reductions over :attr:`events`.
     """
 
     def __init__(self) -> None:
         self.events: list[Event] = []
-        self._listeners: list = []
-
-    def subscribe(self, callback) -> None:
-        """Call ``callback(event)`` for every subsequently recorded event.
-
-        Listeners are read-only observers: they must not record events or
-        mutate the log (the cost accounting stays the single source of
-        truth).  There is no unsubscribe — a TraceLog and its observers
-        share one run's lifetime.
-        """
-        self._listeners.append(callback)
 
     def record(self, event: Event) -> None:
         self.events.append(event)
-        if self._listeners:
-            for callback in self._listeners:
-                callback(event)
 
     # ------------------------------------------------------------------
     def phase_events(self, phase: Phase) -> list[Event]:

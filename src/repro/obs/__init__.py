@@ -1,20 +1,21 @@
 """Unified observability: spans, metrics and exporters for simulated runs.
 
 The layer the ROADMAP's optimisation PRs measure against.  One
-:class:`Observability` recorder per run mirrors every charged machine
-event into per-actor simulated clocks and a Prometheus-style metrics
-registry, wraps the interesting regions (phases, per-rank pack/send/
-recv/unpack, ack/retry cycles, checkpoint/rollback, kernel dispatch) in
-hierarchical spans, and renders the result as a Perfetto-loadable Chrome
-trace, Prometheus text, or a JSONL run log that ``repro inspect`` reads
-back.
+:class:`Observability` recorder per run is bound to that run's
+:class:`~repro.machine.trace.TraceLog` and derives per-actor simulated
+clocks and the ledger counters of a Prometheus-style metrics registry
+from it whenever it is read, wraps the interesting regions (phases,
+per-rank pack/send/recv/unpack, ack/retry cycles, checkpoint/rollback,
+kernel dispatch) in hierarchical spans, and renders the result as a
+Perfetto-loadable Chrome trace, Prometheus text, or a JSONL run log that
+``repro inspect`` reads back.
 
 Byte-transparency contract: with observability disabled (the default,
 :data:`NULL_OBS`), the simulator's traces, wire bytes and cost charges
 are identical to an un-instrumented build; with it enabled,
 :meth:`Observability.verify_against_trace` asserts the metric totals
-equal the :class:`~repro.machine.trace.TraceLog` breakdowns exactly, so
-the two accountings can never drift.
+equal the :class:`~repro.machine.trace.TraceLog` breakdowns exactly —
+both are reductions over the one event ledger.
 
 Quickstart::
 

@@ -32,7 +32,14 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .metrics import Histogram, MetricsRegistry, metrics_from_dict
-from .spans import EventRecord, Observability, SpanRecord, actor_label
+from .spans import (
+    EventRecord,
+    Observability,
+    SpanRecord,
+    actor_label,
+    comm_matrix_from,
+    top_spans_from,
+)
 
 __all__ = [
     "RunLog",
@@ -71,6 +78,8 @@ def to_chrome_trace(obs: Observability) -> dict[str, Any]:
     ``chrome://tracing`` expect from a JSON trace.
     """
     events: list[dict[str, Any]] = []
+    records = obs.events
+    spans = obs.spans
 
     # -- metadata: name the processes and the per-actor lanes ------------
     events.append({
@@ -83,7 +92,7 @@ def to_chrome_trace(obs: Observability) -> dict[str, Any]:
         "name": "process_name",
         "args": {"name": "spans (global simulated clock)"},
     })
-    actors = {e.actor for e in obs.events}
+    actors = {e.actor for e in records}
     if obs.n_procs is not None:  # name every rank's lane, busy or not
         actors.update(range(obs.n_procs))
     for actor in sorted(actors):
@@ -98,21 +107,21 @@ def to_chrome_trace(obs: Observability) -> dict[str, Any]:
     })
     # supervisor lane metadata only when supervisor spans exist, so
     # unsupervised exports stay byte-identical to earlier builds
-    if any(s.name.startswith("supervisor.") for s in obs.spans):
+    if any(s.name.startswith("supervisor.") for s in spans):
         events.append({
             "ph": "M", "pid": SPAN_PID, "tid": SUPERVISOR_TID, "ts": 0,
             "name": "thread_name", "args": {"name": "supervisor"},
         })
     # likewise the sweep-orchestration lane: only manifests when a sweep
     # actually ran under this recorder
-    if any(s.name.startswith("sweep.") for s in obs.spans):
+    if any(s.name.startswith("sweep.") for s in spans):
         events.append({
             "ph": "M", "pid": SPAN_PID, "tid": SWEEP_TID, "ts": 0,
             "name": "thread_name", "args": {"name": "sweep"},
         })
 
     # -- machine events: one lane per actor ------------------------------
-    for rec in obs.events:
+    for rec in records:
         args: dict[str, Any] = {
             "phase": rec.phase, "kind": rec.kind, "quantity": rec.quantity,
         }
@@ -134,7 +143,7 @@ def to_chrome_trace(obs: Observability) -> dict[str, Any]:
             events.append({**base, "ph": "X", "dur": rec.dur_ms * 1000.0})
 
     # -- spans: flame-graph nesting over the global simulated clock ------
-    for span in obs.spans:
+    for span in spans:
         if not span.closed:
             continue
         args = {str(k): v for k, v in span.labels.items()}
@@ -244,7 +253,7 @@ def to_prometheus_text(metrics: MetricsRegistry) -> str:
 def write_prometheus(obs: Observability, path: str | Path) -> Path:
     """Write the recorder's registry as Prometheus text; returns the path."""
     path = Path(path)
-    path.write_text(to_prometheus_text(obs.metrics))
+    path.write_text(to_prometheus_text(obs.all_metrics()))
     return path
 
 
@@ -261,15 +270,16 @@ def write_jsonl(obs: Observability, path: str | Path) -> Path:
     round-trips the file.
     """
     path = Path(path)
+    records, spans = obs.events, obs.spans
     with path.open("w") as fh:
         fh.write(json.dumps({
             "type": "meta",
             "meta": dict(obs.meta),
             "sim_time_ms": obs.sim_time_ms,
-            "n_events": len(obs.events),
-            "n_spans": len(obs.spans),
+            "n_events": len(records),
+            "n_spans": len(spans),
         }) + "\n")
-        for rec in obs.events:
+        for rec in records:
             fh.write(json.dumps({
                 "type": "event",
                 "phase": rec.phase, "kind": rec.kind, "actor": rec.actor,
@@ -277,10 +287,10 @@ def write_jsonl(obs: Observability, path: str | Path) -> Path:
                 "quantity": rec.quantity, "label": rec.label,
                 "src": rec.src, "dst": rec.dst,
             }) + "\n")
-        for span in obs.spans:
+        for span in spans:
             fh.write(json.dumps({"type": "span", **span.to_dict()}) + "\n")
         fh.write(json.dumps({
-            "type": "metrics", "metrics": obs.metrics.to_dict(),
+            "type": "metrics", "metrics": obs.all_metrics().to_dict(),
         }) + "\n")
     return path
 
@@ -297,22 +307,11 @@ class RunLog:
 
     def comm_matrix(self) -> dict[str, dict[str, int]]:
         """Sender → receiver wire-element totals, from the metrics block."""
-        matrix: dict[str, dict[str, int]] = {}
-        metric = self.metrics.get("repro_wire_elements_total")
-        if metric is None:
-            return matrix
-        for key in metric.labelsets():
-            labels = dict(key)
-            src, dst = labels.get("src", "?"), labels.get("dst", "?")
-            row = matrix.setdefault(src, {})
-            row[dst] = row.get(dst, 0) + int(metric.samples[key])
-        return matrix
+        return comm_matrix_from(self.metrics)
 
     def top_spans(self, n: int = 5) -> list[SpanRecord]:
         """The ``n`` spans with the largest simulated elapsed time."""
-        return sorted(
-            self.spans, key=lambda s: (-s.sim_elapsed_ms, s.span_id)
-        )[:n]
+        return top_spans_from(self.spans, n)
 
 
 def read_run_log(path: str | Path) -> RunLog:

@@ -1,37 +1,36 @@
-"""Hierarchical spans + the per-machine observability recorder.
+"""Hierarchical spans + the per-run observability recorder.
 
 The :class:`Observability` object is the one handle the rest of the system
-talks to.  Attached to a :class:`~repro.machine.machine.Machine` it
+talks to.  Bound to one run's :class:`~repro.machine.trace.TraceLog` it
 
-* subscribes to the machine's :class:`~repro.machine.trace.TraceLog`, so
-  every charged event (ops, message, retry, fault) is mirrored into a
-  per-actor **simulated clock** record and rolled into the metrics
-  registry (bytes on wire per rank pair, retries per phase, …);
+* derives, each time it is read, every quantity the trace already holds
+  — per-actor **simulated clocks**, the communication matrix, and the
+  ledger counters of the metrics registry (bytes on wire per rank pair,
+  retries per phase, …) — in one pass over the trace's events;
 * hands out :meth:`span` context managers — hierarchical, labelled
-  regions (``obs.span("ed.encode", rank=r)``) stamped with *both* the
-  simulated clock and the wall clock;
+  regions (``obs.span("ed.encode", rank=r)``) that mark the trace's
+  event index when they open and close, plus the wall clock;
 * double-books nothing: observability never records trace events, never
   charges costs, and never touches wire buffers.  With observability
   disabled (the default) every instrumentation site short-circuits on an
   ``enabled`` check and the simulator is byte-identical to an
   un-instrumented build — the golden-trace fixtures pin this.
 
-Because the metrics are accumulated from the *same* event stream that
-:class:`~repro.machine.trace.PhaseBreakdown` reduces,
-:meth:`Observability.verify_against_trace` can assert the two accountings
-agree exactly — bytes, ops, messages, retries and retry time per phase —
-so the observability layer and the paper's cost ledger can never drift.
+The trace is the single source of truth; the recorder keeps no copy of
+it.  :meth:`Observability.verify_against_trace` checks that the derived
+counters, together with anything instrumentation recorded directly,
+equal the :class:`~repro.machine.trace.PhaseBreakdown` totals exactly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..machine.topology import HOST
 from ..machine.trace import Event, EventKind, Phase, TraceLog
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, metrics_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.machine import Machine
@@ -56,9 +55,10 @@ class ObservabilityDriftError(AssertionError):
     """The metrics registry and the TraceLog breakdowns disagree.
 
     Raised by :meth:`Observability.verify_against_trace`; firing means an
-    instrumentation site double-counted or missed an event — a bug in the
-    observability layer, never in the cost accounting (the TraceLog is
-    the source of truth).
+    instrumentation site also counted a ledger quantity, or the recorder
+    was checked against another run's trace — a bug in the observability
+    layer, never in the cost accounting (the TraceLog is the source of
+    truth).
     """
 
 
@@ -103,8 +103,9 @@ class SpanRecord:
     wall_elapsed_s: float = 0.0
     n_events: int = 0
     closed: bool = False
-    #: events recorded when the span opened (internal bookkeeping for
-    #: ``n_events``; not part of :meth:`to_dict`)
+    #: trace length when the span opened: with ``n_events`` it names the
+    #: span's events, whose prefix sums give the simulated clocks (not
+    #: part of :meth:`to_dict`)
     _event_mark: int = field(default=0, repr=False, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
@@ -137,6 +138,17 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+class _Replay(NamedTuple):
+    """One pass over a run's trace: everything the recorder derives."""
+
+    events: list[EventRecord]
+    #: global simulated ms charged before event ``i`` (``len(events) + 1``
+    #: entries; the last is the run total)
+    prefix_ms: list[float]
+    actor_ms: dict[int, float]
+    metrics: MetricsRegistry
+
+
 class Observability:
     """Span + metrics recorder for one simulated machine run.
 
@@ -155,38 +167,36 @@ class Observability:
     def __init__(self, *, enabled: bool = True, **meta: Any) -> None:
         self.enabled = enabled
         self.meta: dict[str, Any] = dict(meta)
+        #: what instrumentation sites record directly (kernel calls,
+        #: detections, …); :meth:`all_metrics` adds the ledger counters
         self.metrics = MetricsRegistry()
-        self.spans: list[SpanRecord] = []
-        self.events: list[EventRecord] = []
         self.n_procs: int | None = None
-        self._trace: TraceLog | None = None
-        self._actor_clock: dict[int, float] = {}
-        self._sim_total = 0.0
+        #: the bound run's TraceLog (``None`` until attached)
+        self.trace: TraceLog | None = None
+        self._spans: list[SpanRecord] = []
         self._stack: list[SpanRecord] = []
         self._next_span_id = 1
 
     # ------------------------------------------------------------------
-    # attachment
+    # binding
     # ------------------------------------------------------------------
     def attach(self, machine: "Machine") -> None:
-        """Subscribe to ``machine``'s trace; one recorder per machine.
+        """Bind to ``machine``'s current trace; one recorder per run.
 
-        Attaching the same recorder to a second machine raises — the
-        verification contract compares the registry against exactly one
-        TraceLog, so totals from two machines must never mix.
+        Binding to a second trace (another machine, or the same machine
+        after a reset) raises — the verification contract reads exactly
+        one run's TraceLog, so totals from two runs must never mix.
         """
         if not self.enabled:
             return
-        if self._trace is not None and self._trace is not machine.trace:
+        if self.trace is not None and self.trace is not machine.trace:
             raise ValueError(
-                "this Observability is already attached to another machine; "
-                "build a fresh recorder per run"
+                "this Observability is already bound to another run's "
+                "trace; build a fresh recorder per run"
             )
         self.n_procs = machine.n_procs
         self.meta.setdefault("n_procs", machine.n_procs)
-        if self._trace is None:
-            self._trace = machine.trace
-            machine.trace.subscribe(self._on_event)
+        self.trace = machine.trace
 
     # ------------------------------------------------------------------
     # spans
@@ -204,6 +214,9 @@ class Observability:
             return _NULL_SPAN
         return _LiveSpan(self, name, labels)
 
+    def _n_events(self) -> int:
+        return 0 if self.trace is None else len(self.trace)
+
     def _open_span(self, name: str, labels: dict[str, Any]) -> SpanRecord:
         record = SpanRecord(
             span_id=self._next_span_id,
@@ -211,13 +224,13 @@ class Observability:
             name=name,
             labels=labels,
             depth=len(self._stack),
-            sim_start_ms=self._sim_total,
+            sim_start_ms=0.0,
             wall_start_s=time.perf_counter(),
+            _event_mark=self._n_events(),
         )
         self._next_span_id += 1
-        self.spans.append(record)
+        self._spans.append(record)
         self._stack.append(record)
-        record._event_mark = len(self.events)
         return record
 
     def _close_span(self, record: SpanRecord) -> None:
@@ -226,70 +239,62 @@ class Observability:
             self._close_span(self._stack[-1])
         if self._stack and self._stack[-1] is record:
             self._stack.pop()
-        record.sim_elapsed_ms = self._sim_total - record.sim_start_ms
         record.wall_elapsed_s = time.perf_counter() - record.wall_start_s
-        record.n_events = len(self.events) - record._event_mark
+        record.n_events = self._n_events() - record._event_mark
         record.closed = True
 
+    def _timed_spans(self, prefix_ms: list[float]) -> list[SpanRecord]:
+        """Every span, its simulated clocks read off the trace's prefix sums."""
+        for span in self._spans:
+            span.sim_start_ms = prefix_ms[span._event_mark]
+            if span.closed:
+                end = prefix_ms[span._event_mark + span.n_events]
+                span.sim_elapsed_ms = end - span.sim_start_ms
+        return self._spans
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """Every span opened so far, in opening order."""
+        return self._timed_spans(self._replay().prefix_ms)
+
     # ------------------------------------------------------------------
-    # event stream -> metrics + simulated clocks
+    # the trace -> clocks + ledger counters, derived on every read
     # ------------------------------------------------------------------
-    def _on_event(self, event: Event) -> None:
-        """TraceLog subscription callback: mirror one charged event."""
-        ts = self._actor_clock.get(event.actor, 0.0)
-        self._actor_clock[event.actor] = ts + event.time
-        self._sim_total += event.time
-        self.events.append(
-            EventRecord(
-                phase=event.phase.value,
-                kind=event.kind.value,
-                actor=event.actor,
-                ts_ms=ts,
-                dur_ms=event.time,
-                quantity=event.quantity,
-                label=event.label,
-                src=event.src,
-                dst=event.dst,
+    def _replay(self) -> _Replay:
+        """One pass over the bound trace, in event order.
+
+        Clocks accumulate with plain ``+=``: ``sum()`` compensates float
+        error on Python 3.12 and would change the last bits per version.
+        """
+        m = metrics_from_dict(self.metrics.to_dict())
+        records: list[EventRecord] = []
+        prefix = [0.0]
+        clock: dict[int, float] = {}
+        for event in self.trace.events if self.trace is not None else ():
+            ts = clock.get(event.actor, 0.0)
+            clock[event.actor] = ts + event.time
+            prefix.append(prefix[-1] + event.time)
+            records.append(EventRecord(
+                event.phase.value, event.kind.value, event.actor, ts,
+                event.time, event.quantity, event.label, event.src, event.dst,
+            ))
+            _count_event(m, event)
+        if clock:
+            lanes = m.gauge(
+                "repro_sim_time_ms", "Accumulated simulated busy time per lane"
             )
-        )
-        m = self.metrics
-        phase = event.phase.value
-        if event.kind is EventKind.MESSAGE:
-            m.counter(
-                "repro_messages_total", "Messages sent (incl. resends)"
-            ).inc(1, phase=phase)
-            m.counter(
-                "repro_wire_elements_total",
-                "Array elements on the wire per sender/receiver pair",
-            ).inc(
-                event.quantity,
-                phase=phase,
-                src=actor_label(event.src if event.src is not None else event.actor),
-                dst=actor_label(event.dst if event.dst is not None else event.actor),
-            )
-        elif event.kind is EventKind.OPS:
-            m.counter(
-                "repro_ops_total", "Elementary array-element operations"
-            ).inc(event.quantity, phase=phase)
-        elif event.kind is EventKind.RETRY:
-            m.counter(
-                "repro_retries_total", "Failed attempts that triggered a backoff"
-            ).inc(1, phase=phase)
-            m.counter(
-                "repro_retry_time_ms_total", "Backoff/timeout time charged"
-            ).inc(event.time, phase=phase)
-        elif event.kind is EventKind.FAULT:
-            m.counter(
-                "repro_faults_total", "Injected fault observations by label"
-            ).inc(1, phase=phase, label=event.label)
-            if event.label == "duplicate":
-                m.counter(
-                    "repro_dedup_drops_total",
-                    "Duplicate frames discarded by sequence number",
-                ).inc(1, phase=phase)
-        m.gauge(
-            "repro_sim_time_ms", "Accumulated simulated busy time per lane"
-        ).set(self._actor_clock[event.actor], actor=actor_label(event.actor))
+            for actor, busy in clock.items():
+                lanes.set(busy, actor=actor_label(actor))
+        return _Replay(records, prefix, clock, m)
+
+    @property
+    def events(self) -> list[EventRecord]:
+        """The bound trace's events on per-actor simulated clocks."""
+        return self._replay().events
+
+    def all_metrics(self) -> MetricsRegistry:
+        """A fresh registry: :attr:`metrics` plus the ledger counters."""
+        return self._replay().metrics
 
     # ------------------------------------------------------------------
     # direct instrumentation hooks
@@ -343,8 +348,8 @@ class Observability:
     # ------------------------------------------------------------------
     @property
     def sim_time_ms(self) -> float:
-        """Total simulated milliseconds charged while observing."""
-        return self._sim_total
+        """Total simulated milliseconds charged in the bound run."""
+        return self._replay().prefix_ms[-1]
 
     def comm_matrix(self) -> dict[str, dict[str, int]]:
         """Wire elements per sender → receiver (the communication matrix).
@@ -354,42 +359,31 @@ class Observability:
         resends — the quantity SpComm3D-style communication profiling
         makes first-class.
         """
-        matrix: dict[str, dict[str, int]] = {}
-        metric = self.metrics.get("repro_wire_elements_total")
-        if metric is None:
-            return matrix
-        for key in metric.labelsets():
-            labels = dict(key)
-            src, dst = labels.get("src", "?"), labels.get("dst", "?")
-            matrix.setdefault(src, {})[dst] = (
-                matrix.get(src, {}).get(dst, 0) + int(metric.samples[key])
-            )
-        return matrix
+        return comm_matrix_from(self.all_metrics())
 
     def top_spans(self, n: int = 5) -> list[SpanRecord]:
         """The ``n`` spans with the largest simulated elapsed time."""
-        return sorted(
-            (s for s in self.spans if s.closed),
-            key=lambda s: (-s.sim_elapsed_ms, s.span_id),
-        )[:n]
+        return top_spans_from(self.spans, n)
 
     # ------------------------------------------------------------------
     # the no-drift contract
     # ------------------------------------------------------------------
     def verify_against_trace(self, trace: TraceLog | None = None) -> None:
-        """Assert metric totals equal the TraceLog breakdowns exactly.
+        """Assert the metric totals equal the TraceLog breakdowns exactly.
 
         Checks, per phase: wire elements, message count, op count, retry
         count, retry time (identical float-summation order, so exact
-        equality) and fault count.  Raises
-        :class:`ObservabilityDriftError` on any mismatch.
+        equality) and fault count.  The ledger counters are derived from
+        the bound trace, so a mismatch means either a different ``trace``
+        or an instrumentation site that also counted a ledger quantity;
+        raises :class:`ObservabilityDriftError`.
         """
         if not self.enabled:
             return
-        trace = trace if trace is not None else self._trace
+        trace = trace if trace is not None else self.trace
         if trace is None:
             raise ValueError("no trace attached or given to verify against")
-        m = self.metrics
+        m = self.all_metrics()
         for phase in Phase:
             bd = trace.breakdown(phase)
             ph = phase.value
@@ -418,25 +412,87 @@ class Observability:
     # ------------------------------------------------------------------
     def snapshot(self, *, top: int = 10) -> "ObsSnapshot":
         """Freeze the recorder into a result-attachable summary."""
+        replay = self._replay()
+        spans = self._timed_spans(replay.prefix_ms)
         return ObsSnapshot(
             meta=dict(self.meta),
-            n_spans=len(self.spans),
-            n_events=len(self.events),
-            sim_time_ms=self._sim_total,
+            n_spans=len(spans),
+            n_events=len(replay.events),
+            sim_time_ms=replay.prefix_ms[-1],
             actor_sim_ms={
-                actor_label(a): t for a, t in sorted(self._actor_clock.items())
+                actor_label(a): t for a, t in sorted(replay.actor_ms.items())
             },
-            comm_matrix=self.comm_matrix(),
-            metrics=self.metrics.to_dict(),
-            top_spans=tuple(s.to_dict() for s in self.top_spans(top)),
+            comm_matrix=comm_matrix_from(replay.metrics),
+            metrics=replay.metrics.to_dict(),
+            top_spans=tuple(s.to_dict() for s in top_spans_from(spans, top)),
         )
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
         return (
-            f"Observability({state}, {len(self.spans)} spans, "
-            f"{len(self.events)} events, {len(self.metrics)} metrics)"
+            f"Observability({state}, {len(self._spans)} spans, "
+            f"{self._n_events()} events, {len(self.metrics)} metrics)"
         )
+
+
+def _count_event(m: MetricsRegistry, event: Event) -> None:
+    """Roll one charged event into the ledger counters."""
+    phase = event.phase.value
+    if event.kind is EventKind.MESSAGE:
+        m.counter(
+            "repro_messages_total", "Messages sent (incl. resends)"
+        ).inc(1, phase=phase)
+        m.counter(
+            "repro_wire_elements_total",
+            "Array elements on the wire per sender/receiver pair",
+        ).inc(
+            event.quantity,
+            phase=phase,
+            src=actor_label(event.src if event.src is not None else event.actor),
+            dst=actor_label(event.dst if event.dst is not None else event.actor),
+        )
+    elif event.kind is EventKind.OPS:
+        m.counter(
+            "repro_ops_total", "Elementary array-element operations"
+        ).inc(event.quantity, phase=phase)
+    elif event.kind is EventKind.RETRY:
+        m.counter(
+            "repro_retries_total", "Failed attempts that triggered a backoff"
+        ).inc(1, phase=phase)
+        m.counter(
+            "repro_retry_time_ms_total", "Backoff/timeout time charged"
+        ).inc(event.time, phase=phase)
+    elif event.kind is EventKind.FAULT:
+        m.counter(
+            "repro_faults_total", "Injected fault observations by label"
+        ).inc(1, phase=phase, label=event.label)
+        if event.label == "duplicate":
+            m.counter(
+                "repro_dedup_drops_total",
+                "Duplicate frames discarded by sequence number",
+            ).inc(1, phase=phase)
+
+
+def comm_matrix_from(metrics: MetricsRegistry) -> dict[str, dict[str, int]]:
+    """Sender → receiver wire-element totals from a metrics registry."""
+    matrix: dict[str, dict[str, int]] = {}
+    metric = metrics.get("repro_wire_elements_total")
+    if metric is None:
+        return matrix
+    for key in metric.labelsets():
+        labels = dict(key)
+        row = matrix.setdefault(labels.get("src", "?"), {})
+        dst = labels.get("dst", "?")
+        row[dst] = row.get(dst, 0) + int(metric.samples[key])
+    return matrix
+
+
+def top_spans_from(spans: list[SpanRecord], n: int) -> list[SpanRecord]:
+    """The ``n`` closed spans with the largest simulated elapsed time."""
+    return sorted(
+        (s for s in spans if s.closed),
+        key=lambda s: (-s.sim_elapsed_ms, s.span_id),
+    )[:n]
 
 
 class _LiveSpan:

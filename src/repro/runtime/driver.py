@@ -104,7 +104,7 @@ def run_scheme(
         executor=executor,
         supervise=supervise,
     )
-    with RunSession(reuse_machines=False) as session:
+    with RunSession() as session:
         return session.run(
             request, matrix=matrix, method=method, plan=plan,
             topology=topology, obs=obs,

@@ -117,7 +117,7 @@ def _observability_section() -> list[str]:
         scheme="ed", n=n, n_procs=p, partition="column",
         compression="crs", seed=2002 + n + 131 * p,
     )
-    with RunSession(reuse_machines=False) as session:
+    with RunSession() as session:
         result = session.run(cfg)  # unobserved twin: proves byte transparency
         r = session.run(cfg, obs=obs)
     same = abs(r.t_total - result.t_total) < 1e-12

@@ -15,7 +15,8 @@ A session owns the *warm* state that used to be rebuilt from scratch per
 call:
 
 * the generated test matrices (one ``random_sparse`` sample per
-  ``(shape, sparse_ratio, seed)``, LRU-bounded), so the paper's
+  ``(shape, sparse_ratio, seed)``, the last :data:`MATRIX_CACHE_SIZE`
+  kept), so the paper's
   "same sample shared by all schemes in a cell" convention costs one
   generation instead of three;
 * the simulated machines (one per :meth:`RunRequest.machine_key`), so
@@ -25,11 +26,14 @@ call:
 Reuse can never change a result: a reused machine is :meth:`~repro.
 machine.machine.Machine.reset` before every run (the documented
 replay-identical operation), and any request that carries per-run
-machine state — a fault injector, a recovery policy, an observability
-recorder, active supervision or an explicit topology — gets a fresh
-machine exactly as before.  ``tests/sweep/test_session.py`` pins the
-equivalence against per-call :func:`~repro.runtime.driver.run_scheme`
-runs on both executors.
+machine state — a fault injector, a recovery policy, active supervision
+or an explicit topology — gets a fresh machine.  An observability
+recorder is per-run state too, but it lives outside the machine: the run
+binds it to the machine's fresh trace and puts ``NULL_OBS`` back when it
+ends, so an observed run takes the same warm path as the traffic it
+observes.  ``tests/sweep/test_session.py`` pins the equivalence against
+per-call :func:`~repro.runtime.driver.run_scheme` runs on both
+executors.
 """
 
 from __future__ import annotations
@@ -63,6 +67,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.spans import Observability
 
 __all__ = ["RequestError", "RunRequest", "RunSession", "canonical_json"]
+
+#: generated matrices a session keeps (LRU).  The table grids revisit the
+#: same ``(n, ratio, seed)`` once per scheme, so a handful of slots
+#: removes two thirds of the generation work.
+MATRIX_CACHE_SIZE = 4
 
 #: every key :meth:`RunRequest.from_dict` accepts
 REQUEST_KEYS = (
@@ -331,30 +340,12 @@ def _spec(given: Mapping[str, Any], key: str, spec_type: Any) -> Any:
 class RunSession:
     """A warm, reusable ``RunRequest → SchemeResult`` entry point.
 
-    Parameters
-    ----------
-    reuse_machines:
-        ``False`` builds (and tears down) a fresh machine per run —
-        exactly the historical per-call behaviour.  ``True`` (default)
-        keeps one machine per :meth:`RunRequest.machine_key` warm
-        between *clean* runs; requests with faults, recovery,
-        observability, supervision or an explicit topology always get a
-        fresh machine either way.
-    matrix_cache_size:
-        How many generated matrices to keep (LRU).  The table grids
-        revisit the same ``(n, ratio, seed)`` once per scheme, so a
-        handful of slots removes two thirds of the generation work.
+    Keeps one machine per :meth:`RunRequest.machine_key` warm between
+    runs; requests with faults, recovery, supervision or an explicit
+    topology get a fresh machine, torn down when the run ends.
     """
 
-    def __init__(
-        self, *, reuse_machines: bool = True, matrix_cache_size: int = 4
-    ) -> None:
-        if matrix_cache_size < 1:
-            raise ValueError(
-                f"matrix_cache_size must be >= 1, got {matrix_cache_size}"
-            )
-        self.reuse_machines = reuse_machines
-        self._matrix_cache_size = matrix_cache_size
+    def __init__(self) -> None:
         self._matrices: OrderedDict[
             tuple[tuple[int, int], float, int], COOMatrix
         ] = OrderedDict()
@@ -373,7 +364,7 @@ class RunSession:
             return cached
         matrix = random_sparse(key[0], request.sparse_ratio, seed=request.seed)
         self._matrices[key] = matrix
-        while len(self._matrices) > self._matrix_cache_size:
+        while len(self._matrices) > MATRIX_CACHE_SIZE:
             self._matrices.popitem(last=False)
         return matrix
 
@@ -383,24 +374,21 @@ class RunSession:
         n_procs: int,
         injector: FaultInjector | None,
         topology: Topology | None,
-        obs: "Observability | None",
     ) -> tuple[Machine, bool]:
         """``(machine, reused)`` for one run; see class docstring."""
         from ..exec import current_supervision
 
         reusable = (
-            self.reuse_machines
-            and injector is None
+            injector is None
             and request.recovery is None
             and topology is None
-            and obs is None
             and request.supervise is None
             and current_supervision() is None
         )
         if not reusable:
             machine = Machine(
                 n_procs, cost=request.cost, topology=topology, faults=injector,
-                backend=request.backend, executor=request.executor, obs=obs,
+                backend=request.backend, executor=request.executor,
             )
             return machine, False
         key = request.machine_key()
@@ -451,12 +439,17 @@ class RunSession:
             else None
         )
         machine, reused = self._machine_for(
-            request, plan.n_procs, injector, topology, obs
+            request, plan.n_procs, injector, topology
         )
         comp: type[CompressedLocal] = get_compression(request.compression)
         from ..exec import use_supervision
+        from ..obs.spans import NULL_OBS
 
         try:
+            if obs is not None:
+                # bound to this run's fresh trace only (one recorder per run)
+                machine.obs = obs
+                obs.attach(machine)
             # use_supervision(None) is a no-op scope: the ambient default
             # (REPRO_SUPERVISE) stays in force
             with use_supervision(request.supervise):
@@ -473,6 +466,7 @@ class RunSession:
                     )
                 return get_scheme(request.scheme).run(machine, matrix, plan, comp)
         finally:
+            machine.obs = NULL_OBS
             if not reused:
                 machine.shutdown()  # rank workers die with the run
 

@@ -98,7 +98,7 @@ class SessionCache:
             self.hits += 1
             return entry.session, True, []
         self.misses += 1
-        entry = _CacheEntry(RunSession(reuse_machines=True), busy=True)
+        entry = _CacheEntry(RunSession(), busy=True)
         self._entries[key] = entry
         evicted: list[RunSession] = []
         idle = [k for k, e in self._entries.items() if not e.busy]

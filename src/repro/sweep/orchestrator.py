@@ -98,7 +98,7 @@ def _cell_worker_main(
     """Worker process entry point: run one cell, report, exit."""
     try:
         cell = RunRequest.from_dict(params)
-        with RunSession(reuse_machines=False) as session:
+        with RunSession() as session:
             payload = _run_cell(session, cell, executor, backend)
         conn.send(("ok", payload))
     except BaseException as err:  # noqa: BLE001 - report, parent decides
@@ -295,7 +295,7 @@ def _run_fanned_out(
                     else:
                         # respawn budget spent: run inline, which either
                         # completes the cell or surfaces the real error
-                        with RunSession(reuse_machines=False) as session:
+                        with RunSession() as session:
                             payload = _run_cell(
                                 session, worker.cell, executor, backend
                             )

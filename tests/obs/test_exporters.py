@@ -125,7 +125,7 @@ def _parse_prometheus(text: str):
 class TestPrometheus:
     def test_output_parses_and_has_headers(self, observed_run):
         obs, _ = observed_run
-        text = to_prometheus_text(obs.metrics)
+        text = to_prometheus_text(obs.all_metrics())
         assert "# TYPE repro_messages_total counter" in text
         assert "# HELP repro_wire_elements_total" in text
         samples = _parse_prometheus(text)
@@ -167,7 +167,7 @@ class TestJsonl:
         assert log.sim_time_ms == obs.sim_time_ms
         assert len(log.events) == len(obs.events)
         assert [s.name for s in log.spans] == [s.name for s in obs.spans]
-        assert log.metrics.to_dict() == obs.metrics.to_dict()
+        assert log.metrics.to_dict() == obs.all_metrics().to_dict()
         assert log.comm_matrix() == obs.comm_matrix()
         assert [s.name for s in log.top_spans(2)] == [
             s.name for s in obs.top_spans(2)

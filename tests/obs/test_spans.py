@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine import Machine, Phase, unit_cost_model
+from repro.machine import Event, EventKind, Machine, Phase, unit_cost_model
 from repro.machine.topology import HOST
 from repro.obs import NULL_OBS, Observability, ObservabilityDriftError
 from repro.obs.spans import _NULL_SPAN
@@ -41,7 +41,7 @@ class TestNullObs:
 
     def test_disabled_snapshot_never_attaches(self):
         machine = Machine(2)
-        assert NULL_OBS._trace is None or NULL_OBS._trace is not machine.trace
+        assert NULL_OBS.trace is None or NULL_OBS.trace is not machine.trace
 
 
 class TestAttachment:
@@ -56,7 +56,16 @@ class TestAttachment:
     def test_reattach_same_machine_is_idempotent(self, obs, machine):
         obs.attach(machine)
         machine.charge_host_ops(1, Phase.COMPUTE)
-        assert len(obs.events) == 1  # not double-subscribed
+        assert len(obs.events) == 1  # not counted twice
+
+    def test_reset_ends_the_run(self, obs, machine):
+        machine.charge_host_ops(2, Phase.COMPUTE)
+        machine.reset()
+        assert machine.obs is NULL_OBS
+        machine.charge_host_ops(5, Phase.COMPUTE)
+        assert obs.sim_time_ms == 2.0  # the recorder keeps its run's log
+        with pytest.raises(ValueError, match="fresh recorder"):
+            obs.attach(machine)
 
 
 class TestEventMirroring:
@@ -78,7 +87,7 @@ class TestEventMirroring:
 
     def test_ops_counter_tracks_quantities(self, obs, machine):
         machine.charge_proc_ops(2, 40, Phase.COMPRESSION)
-        assert obs.metrics.total(
+        assert obs.all_metrics().total(
             "repro_ops_total", phase="compression"
         ) == 40
 
@@ -97,6 +106,18 @@ class TestSpans:
         assert outer.n_events == 2 and inner.n_events == 1
         assert outer.closed and inner.closed
         assert outer.labels == {"phase": "distribution"}
+
+    def test_sim_clocks_are_event_order_prefix_sums(self, obs, machine):
+        times = [0.1, 0.2, 0.3]
+        with obs.span("s"):
+            for t in times:
+                machine.trace.record(Event(Phase.COMPUTE, EventKind.OPS, HOST, t))
+        expected = 0.0
+        for t in times:
+            expected += t
+        # 0.6000000000000001; Python 3.12's compensated sum() gives 0.6
+        assert obs.spans[0].sim_elapsed_ms == expected
+        assert obs.sim_time_ms == expected
 
     def test_exception_unwinding_closes_children(self, obs):
         with pytest.raises(RuntimeError):

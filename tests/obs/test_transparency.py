@@ -80,7 +80,7 @@ def test_fault_mode_transparent_and_counted(matrix):
     )
     _assert_equivalent(plain, observed)
     assert observed.fault_summary == plain.fault_summary
-    m = obs.metrics
+    m = obs.all_metrics()
     assert m.total("repro_retries_total") > 0
     assert m.total("repro_faults_total") > 0
     # dedup drops only count duplicate-labelled fault observations

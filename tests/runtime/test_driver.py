@@ -77,13 +77,13 @@ class TestExperimentConfig:
 
     def test_run_config_generates_matrix(self):
         cfg = RunRequest(scheme="cfs", n=24, n_procs=3)
-        with RunSession(reuse_machines=False) as session:
+        with RunSession() as session:
             result = session.run(cfg)
         assert result.global_shape == (24, 24)
 
     def test_run_config_accepts_shared_matrix(self):
         cfg = RunRequest(scheme="cfs", n=24, n_procs=3)
         shared = random_sparse((24, 24), 0.1, seed=77)
-        with RunSession(reuse_machines=False) as session:
+        with RunSession() as session:
             result = session.run(cfg, matrix=shared)
         assert result.global_nnz == shared.nnz

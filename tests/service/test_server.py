@@ -42,7 +42,7 @@ class TestServedFidelity:
         params = dict(scheme="sfc", n=48, n_procs=2, seed=5)
         with ServiceClient(socket_path=service.socket_path) as client:
             served = client.run(executor=executor, **params)
-        with RunSession(reuse_machines=False) as session:
+        with RunSession() as session:
             direct = session.run(RunRequest(executor=executor, **params))
         assert canonical_json(served) == canonical_json(result_to_dict(direct))
 

@@ -28,7 +28,7 @@ ONE_CELL = {
 
 def _driver_payload(executor):
     cell = Manifest.from_dict(ONE_CELL).expand()[0]
-    with RunSession(reuse_machines=False) as session:
+    with RunSession() as session:
         return result_to_dict(session.run(replace(cell, executor=executor)))
 
 

@@ -33,7 +33,7 @@ def _assert_results_identical(a, b):
 
 def _fresh(request):
     """A one-shot run: fresh machine, generated matrix."""
-    with RunSession(reuse_machines=False) as session:
+    with RunSession() as session:
         return session.run(request)
 
 
