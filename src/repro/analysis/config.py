@@ -89,7 +89,6 @@ _KERNEL_BOUNDARY = {
 _TRANSPORT_EXEMPT = (
     "src/repro/machine/*.py",      # the transport itself
     "src/repro/faults/*.py",       # frame-level fault injection
-    "src/repro/recovery/view.py",  # transport virtualisation (ghost ranks)
 )
 
 #: RL004 — wire-format and cost-model modules that must be bit-deterministic

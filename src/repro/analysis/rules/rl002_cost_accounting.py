@@ -9,8 +9,8 @@ twice over: the bytes move without a ``T_Startup + m·T_Data`` charge,
 and (since PR 1) they skip the reliable-delivery protocol's checksum
 verification.
 
-Outside the exempt transport layers (``machine/``, ``faults/``, the
-recovery ghost-rank virtualisation) the rule flags:
+Outside the exempt transport layers (``machine/``, whose rank map also
+owns the recovery ghost slots, and ``faults/``) the rule flags:
 
 * ``….mailbox`` / ``….host_mailbox`` attribute access — raw frame queues;
 * ``….deliver(…)`` calls — injecting frames without a send charge;

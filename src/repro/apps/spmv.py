@@ -102,8 +102,8 @@ def _spmv_impl(
 def resilient_spmv(runtime: "RecoveryRuntime", x: np.ndarray) -> np.ndarray:
     """``y = A @ x`` that survives fail-stop rank deaths mid-multiply.
 
-    Runs :func:`distributed_spmv` against the runtime's current
-    ``(view, plan)`` pair.  If a rank dies mid-iteration the runtime
+    Runs :func:`distributed_spmv` against the runtime's machine and
+    current plan.  If a rank dies mid-iteration the runtime
     confirms the failure (detection timeouts charged), restores a degraded
     plan from its host-side checkpoints and the multiply is *replayed* on
     the shrunken machine — ``x`` lives host-side, so replaying the
@@ -113,7 +113,7 @@ def resilient_spmv(runtime: "RecoveryRuntime", x: np.ndarray) -> np.ndarray:
     """
     while True:
         try:
-            return distributed_spmv(runtime.view, runtime.plan, x)
+            return distributed_spmv(runtime.machine, runtime.plan, x)
         except DeadRankError as err:
             runtime.handle(err)
 

@@ -16,7 +16,7 @@ these instead of computing inline:
 ``submit`` hands the task to the machine's executor session (inline for
 ``sim``, a worker process for ``process``); ``result`` waits for the
 value, merges the worker's kernel-call counts into the machine's
-metrics, **replays the task's deferred charges through the view** and
+metrics, **replays the task's deferred charges through the machine** and
 only then returns (or raises the task's error).  Because the replay
 happens in ``result``-call order — the schemes call it in plan order —
 the trace ledger records exactly the events the fully-serial receiver
@@ -30,16 +30,16 @@ error :meth:`RankPool.result` re-raises at that exact position.  The
 same deferral applies to store-reference resolution (``KeyError`` /
 ``DeadRankError`` from a dead or empty rank).
 
-Recovery views plug in transparently: a ``SurvivorView`` pool translates
-virtual ranks to physical ones for worker addressing and charge replay;
-a ``GhostView`` pool runs its ghost ranks inline (their workers are
-dead — the host really does that work, and the view translates their
-charges onto the host's serial timeline).
+Tasks are submitted and charged under the ranks the machine's rank map
+addresses (:meth:`~repro.machine.machine.Machine.remap`).  Under a
+survivor roster the pool picks the worker of the physical rank; a ghost
+rank's tasks run inline (its worker is dead — the host really does that
+work, and the machine charges it to the host's serial timeline).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from ..machine.membership import DeadRankError
 from ..machine.trace import Phase
@@ -49,20 +49,11 @@ __all__ = ["RankPool"]
 
 
 class RankPool:
-    """Deferred per-rank task execution against one machine (or view)."""
+    """Deferred per-rank task execution against one machine."""
 
-    def __init__(
-        self,
-        view: Any,
-        session: Any,
-        *,
-        physical: Callable[[int], int] | None = None,
-        inline_ranks: Iterable[int] = (),
-    ) -> None:
-        self.view = view
+    def __init__(self, machine: Any, session: Any) -> None:
+        self.machine = machine
         self.session = session
-        self._physical = physical if physical is not None else lambda r: r
-        self._inline_ranks = frozenset(inline_ranks)
         #: rank -> ("error", exc) | ("result", TaskResult) | ("handle", h)
         self._pending: dict[int, tuple[str, Any]] = {}
 
@@ -78,7 +69,7 @@ class RankPool:
         receiver would.
         """
         try:
-            msg = self.view._pop_frame(rank, tag)
+            msg = self.machine._pop_frame(rank, tag)
         except (DeadRankError, LookupError) as err:
             return PoisonFrame(err)
         return WireFrame(
@@ -88,7 +79,7 @@ class RankPool:
             n_elements=msg.n_elements,
             seq=msg.seq,
             checksum=msg.checksum,
-            verify=self.view.faults is not None,
+            verify=self.machine.faults is not None,
         )
 
     def ref(self, key: str) -> Ref:
@@ -120,7 +111,7 @@ class RankPool:
         except (DeadRankError, KeyError) as err:
             self._pending[rank] = ("error", err)
             return
-        if self.session.inline or rank in self._inline_ranks:
+        if self.session.inline or self.machine.is_ghost(rank):
             self._pending[rank] = ("result", run_task(task, rank, resolved))
             return
         from ..kernels import current_backend
@@ -128,23 +119,22 @@ class RankPool:
         # ship the Ref markers, not the values: the session's version
         # cache decides per worker whether the value must travel at all
         handle = self.session.dispatch(
-            self._physical(rank),
+            self.machine.physical(rank),
             task,
             rank,
             kwargs,
             refs,
             backend=current_backend().name,
-            count_kernels=self.view.obs.enabled,
+            count_kernels=self.machine.obs.enabled,
         )
         self._pending[rank] = ("handle", handle)
 
     def result(self, rank: int) -> Any:
         """Collect ``rank``'s task: replay its charges, return its value.
 
-        Deferred charges are replayed through the view's
-        ``charge_proc_ops`` (virtual→physical / ghost→host translation
-        included) *before* a task error is re-raised — the serial
-        receiver charges before it raises too.
+        Deferred charges are replayed through the machine's
+        ``charge_proc_ops`` (rank map included) *before* a task error is
+        re-raised — the serial receiver charges before it raises too.
         """
         try:
             kind, payload = self._pending.pop(rank)
@@ -155,12 +145,12 @@ class RankPool:
         task_result: TaskResult = (
             self.session.result(payload) if kind == "handle" else payload
         )
-        obs = self.view.obs
+        obs = self.machine.obs
         if obs.enabled:
             for backend_name, kernel_name in task_result.kernel_calls:
                 obs.record_kernel_call(backend_name, kernel_name)
         for charge in task_result.charges:
-            self.view.charge_proc_ops(
+            self.machine.charge_proc_ops(
                 rank, charge.n_ops, charge.phase, label=charge.label
             )
         if task_result.error is not None:
@@ -181,7 +171,7 @@ class RankPool:
         resolved = dict(kwargs)
         for name, value in kwargs.items():
             if isinstance(value, Ref):
-                proc = self.view.processor(rank)
+                proc = self.machine.processor(rank)
                 stored = proc.load(value.key)
                 version = proc.versions.get(value.key, -1)
                 resolved[name] = stored

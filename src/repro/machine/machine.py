@@ -43,12 +43,23 @@ send onto an ack/retry/timeout protocol (DESIGN.md §"Fault model"):
 
 With ``faults=None`` (the default) none of this code runs: the trace and
 all charged costs are byte-identical to the fault-free simulator.
+
+Rank map (recovery)
+-------------------
+Every rank argument goes through one rank map (:meth:`Machine.remap`),
+so the recovery layer drives the same charged API the schemes use.  The
+identity map is the default.  A dense survivor roster renumbers the live
+ranks ``0..p'-1``; the original roster with ghost slots lets the host
+stand in for dead ranks, charging their work to its serial timeline.
+Trace events, the injector, membership, :class:`DeadRankError`, error
+texts and the executor session always see physical ranks.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .cost_model import CostModel, sp2_cost_model
 from .membership import DeadRankError, Membership
@@ -133,6 +144,7 @@ class Machine:
         self.executor = executor
         #: lazily-created executor session (``_executor_session``)
         self._exec_session: Any = None
+        #: ranks the rank arguments address (``p'`` under a survivor roster)
         self.n_procs = n_procs
         self.cost = cost if cost is not None else sp2_cost_model()
         if proc_speeds is None:
@@ -152,6 +164,12 @@ class Machine:
                 f"machine has {n_procs}"
             )
         self.procs = [Processor(r) for r in range(n_procs)]
+        #: the rank map (see :meth:`remap`): virtual -> physical rank of a
+        #: dense survivor roster (None = identity), its inverse, and the
+        #: host-held ghost processors standing in for dead ranks
+        self._roster: list[int] | None = None
+        self._virtual: dict[int, int] = {}
+        self._ghosts: dict[int, Processor] = {}
         #: the host's view of which ranks are alive (fail-stop detection);
         #: full membership forever on machines without fail-stop faults
         self.membership = Membership(n_procs)
@@ -193,10 +211,16 @@ class Machine:
         ``T_Operation`` per op — the heterogeneous-cluster extension
         (uniform machines keep all speeds at 1, the paper's setting).
         In fault mode an injected per-processor slowdown multiplies the
-        time by its (≥ 1) factor.
+        time by its (≥ 1) factor.  A ghost's work is the host's, serially.
         """
-        self._check_rank(rank)
+        if rank in self._ghosts:
+            return self.charge_host_ops(n_ops, phase, label=f"ghost-{label}")
+        rank = self.physical(rank)
         self._check_not_failed(rank)
+        return self._charge_proc(rank, n_ops, phase, label)
+
+    def _charge_proc(self, rank: int, n_ops: int, phase: Phase, label: str) -> float:
+        """:meth:`charge_proc_ops` on a checked physical ``rank``."""
         t = self.cost.ops_time(n_ops) / self.proc_speeds[rank]
         if self.faults is not None:
             t *= self.faults.slowdown_factor(rank)
@@ -204,6 +228,47 @@ class Machine:
             Event(phase, EventKind.OPS, rank, t, quantity=int(n_ops), label=label)
         )
         return t
+
+    def _charge_message(
+        self, phase: Phase, actor: int, src: int, dst: int, n_elements: int,
+        label: str, hops: int,
+    ) -> float:
+        """Charge one message's ``T_Startup + m·T_Data·hops`` to ``actor``."""
+        t = self.cost.message_time(n_elements, hops=hops)
+        self.trace.record(
+            Event(
+                phase, EventKind.MESSAGE, actor, t,
+                quantity=int(n_elements), label=label, src=src, dst=dst,
+            )
+        )
+        return t
+
+    def _record_fault(
+        self, phase: Phase, actor: int, src: int, dst: int, quantity: int,
+        label: str,
+    ) -> None:
+        """Record a zero-time ``FAULT`` event (drop, corrupt, detection…)."""
+        self.trace.record(
+            Event(
+                phase, EventKind.FAULT, actor, 0.0,
+                quantity=int(quantity), label=label, src=src, dst=dst,
+            )
+        )
+
+    def _charge_retry(
+        self, phase: Phase, actor: int, src: int, dst: int, attempt: int,
+        label: str,
+    ) -> float:
+        """Charge attempt ``attempt``'s backoff timeout as a ``RETRY`` event."""
+        assert self.faults is not None
+        backoff = self.faults.spec.retry.backoff_ms(attempt)
+        self.trace.record(
+            Event(
+                phase, EventKind.RETRY, actor, backoff,
+                quantity=attempt, label=label, src=src, dst=dst,
+            )
+        )
+        return backoff
 
     # ------------------------------------------------------------------
     # communication
@@ -229,60 +294,40 @@ class Machine:
         protocol; the returned time then covers all attempts plus backoff
         waits.
         """
-        self._check_rank(dst)
+        if dst in self._ghosts:
+            if src != HOST and src in self._ghosts:
+                raise ValueError("ghost-to-ghost traffic is not modelled")
+            # host-local buffer move into the ghost replica: one op/element
+            t = self.charge_host_ops(
+                n_elements, phase, label=f"ghost-send:{tag}" if tag else "ghost-send"
+            )
+            self._ghosts[dst].deliver(
+                Message(
+                    src=src, dst=dst, tag=tag, payload=payload, n_elements=n_elements
+                )
+            )
+            return t
+        dst = self.physical(dst)
+        if src != HOST:
+            src = self.physical(src)
         if n_elements < 0:
             raise ValueError(f"n_elements must be non-negative, got {n_elements}")
         hops = max(self.topology.hops(src, dst), 1)
+        # a self-send never touches the interconnect, so there is nothing
+        # for the injector to drop, corrupt, duplicate or reorder (p=1)
         if self.faults is not None:
             if src != HOST:
                 self._check_not_failed(src)  # dead nodes send nothing
-            if src == dst:
-                # self-send: the frame never touches the interconnect, so
-                # there is nothing for the injector to drop, corrupt,
-                # duplicate or reorder.  Charged and delivered exactly
-                # like the fault-free path (p=1 edge case; see
-                # tests/faults/test_edge_cases.py).
-                t = self.cost.message_time(n_elements, hops=hops)
-                self.trace.record(
-                    Event(
-                        phase,
-                        EventKind.MESSAGE,
-                        src,
-                        t,
-                        quantity=int(n_elements),
-                        label=tag,
-                        src=src,
-                        dst=dst,
-                    )
+            if src != dst:
+                if not self.membership.is_alive(dst):
+                    # the host already paid the detection timeouts for
+                    # this rank; addressing it again is a programming
+                    # error in the recovery layer, surfaced for free.
+                    raise DeadRankError(dst, detected=True)
+                return self._reliable_transmit(
+                    src, dst, payload, n_elements, phase, tag, hops, actor=src
                 )
-                self.procs[dst].deliver(
-                    Message(
-                        src=src, dst=dst, tag=tag,
-                        payload=payload, n_elements=n_elements,
-                    )
-                )
-                return t
-            if not self.membership.is_alive(dst):
-                # the host already paid the detection timeouts for this
-                # rank; addressing it again is a programming error in the
-                # recovery layer, surfaced for free.
-                raise DeadRankError(dst, detected=True)
-            return self._reliable_transmit(
-                src, dst, payload, n_elements, phase, tag, hops, actor=src
-            )
-        t = self.cost.message_time(n_elements, hops=hops)
-        self.trace.record(
-            Event(
-                phase,
-                EventKind.MESSAGE,
-                src,
-                t,
-                quantity=int(n_elements),
-                label=tag,
-                src=src,
-                dst=dst,
-            )
-        )
+        t = self._charge_message(phase, src, src, dst, n_elements, tag, hops)
         self.procs[dst].deliver(
             Message(src=src, dst=dst, tag=tag, payload=payload, n_elements=n_elements)
         )
@@ -302,7 +347,16 @@ class Machine:
         The host receives messages serially, so the time is charged to the
         host's timeline — consistent with the sequential-send model.
         """
-        self._check_rank(src)
+        if src in self._ghosts:
+            label = f"ghost-gather:{tag}" if tag else "ghost-gather"
+            t = self.charge_host_ops(n_elements, phase, label=label)
+            self.host_mailbox.append(
+                Message(
+                    src=src, dst=HOST, tag=tag, payload=payload, n_elements=n_elements
+                )
+            )
+            return t
+        src = self.physical(src)
         if n_elements < 0:
             raise ValueError(f"n_elements must be non-negative, got {n_elements}")
         hops = max(self.topology.hops(src, HOST), 1)
@@ -311,19 +365,7 @@ class Machine:
             return self._reliable_transmit(
                 src, HOST, payload, n_elements, phase, tag, hops, actor=HOST
             )
-        t = self.cost.message_time(n_elements, hops=hops)
-        self.trace.record(
-            Event(
-                phase,
-                EventKind.MESSAGE,
-                HOST,
-                t,
-                quantity=int(n_elements),
-                label=tag,
-                src=src,
-                dst=HOST,
-            )
-        )
+        t = self._charge_message(phase, HOST, src, HOST, n_elements, tag, hops)
         self.host_mailbox.append(
             Message(src=src, dst=HOST, tag=tag, payload=payload, n_elements=n_elements)
         )
@@ -373,10 +415,6 @@ class Machine:
         is wrapped in one ``machine.reliable_send`` span (never entered
         on the golden paths — fault-free sends bypass this method).
         """
-        if not self.obs.enabled:
-            return self._reliable_attempts(
-                src, dst, payload, n_elements, phase, tag, hops, actor=actor
-            )
         from ..obs.spans import actor_label
 
         with self.obs.span(
@@ -418,6 +456,8 @@ class Machine:
         t_detect = 0.0    # time charged for those missed-ack attempts
         while True:
             attempt += 1
+            t = self._charge_message(phase, actor, src, dst, n_elements, tag, hops)
+            inj.stats.count(phase, "attempts")
             if dst != HOST and inj.rank_failed(dst):
                 # Fail-stop: the destination is permanently dead.  The
                 # frame goes onto the wire (full message cost), no ack
@@ -425,31 +465,13 @@ class Machine:
                 # transient fault — delivery is never forced.  After
                 # ``detect_after`` missed acks the host declares the rank
                 # dead and the failure surfaces as DeadRankError.
-                t = self.cost.message_time(n_elements, hops=hops)
-                self.trace.record(
-                    Event(
-                        phase, EventKind.MESSAGE, actor, t,
-                        quantity=int(n_elements), label=tag, src=src, dst=dst,
-                    )
+                self._record_fault(
+                    phase, actor, src, dst, n_elements, Attempt.FAILSTOP.value
                 )
-                backoff = policy.backoff_ms(attempt)
-                self.trace.record(
-                    Event(
-                        phase, EventKind.FAULT, actor, 0.0,
-                        quantity=int(n_elements),
-                        label=Attempt.FAILSTOP.value, src=src, dst=dst,
-                    )
-                )
-                self.trace.record(
-                    Event(
-                        phase, EventKind.RETRY, actor, backoff,
-                        quantity=attempt, label=tag, src=src, dst=dst,
-                    )
-                )
+                backoff = self._charge_retry(phase, actor, src, dst, attempt, tag)
                 total += t + backoff
                 t_detect += t + backoff
                 missed_acks += 1
-                inj.stats.count(phase, "attempts")
                 inj.stats.count(phase, "failstop_drops")
                 inj.stats.count(phase, "retries")
                 if missed_acks >= inj.spec.fail_stop.detect_after:
@@ -463,21 +485,7 @@ class Machine:
                         time_charged=total,
                     )
                 continue
-            t = self.cost.message_time(n_elements, hops=hops)
-            self.trace.record(
-                Event(
-                    phase,
-                    EventKind.MESSAGE,
-                    actor,
-                    t,
-                    quantity=int(n_elements),
-                    label=tag,
-                    src=src,
-                    dst=dst,
-                )
-            )
             total += t
-            inj.stats.count(phase, "attempts")
             forced = attempt > policy.max_retries
             outcome = (
                 Attempt.DELIVER
@@ -497,32 +505,8 @@ class Machine:
             elif outcome is Attempt.CRASH:
                 inj.stats.count(phase, "crash_drops")
             if outcome is not Attempt.DELIVER:
-                self.trace.record(
-                    Event(
-                        phase,
-                        EventKind.FAULT,
-                        actor,
-                        0.0,
-                        quantity=int(n_elements),
-                        label=outcome.value,
-                        src=src,
-                        dst=dst,
-                    )
-                )
-                backoff = policy.backoff_ms(attempt)
-                self.trace.record(
-                    Event(
-                        phase,
-                        EventKind.RETRY,
-                        actor,
-                        backoff,
-                        quantity=attempt,
-                        label=tag,
-                        src=src,
-                        dst=dst,
-                    )
-                )
-                total += backoff
+                self._record_fault(phase, actor, src, dst, n_elements, outcome.value)
+                total += self._charge_retry(phase, actor, src, dst, attempt, tag)
                 inj.stats.count(phase, "retries")
                 continue
             if forced:
@@ -539,18 +523,7 @@ class Machine:
             insert_at = inj.reorder_insert(self._mailbox_len(dst))
             if insert_at is not None:
                 inj.stats.count(phase, "reorders")
-                self.trace.record(
-                    Event(
-                        phase,
-                        EventKind.FAULT,
-                        actor,
-                        0.0,
-                        quantity=int(n_elements),
-                        label="reorder",
-                        src=src,
-                        dst=dst,
-                    )
-                )
+                self._record_fault(phase, actor, src, dst, n_elements, "reorder")
             self._deliver(msg, insert_at)
             if dst != HOST:
                 # a doomed rank counts accepted frames towards its
@@ -560,35 +533,15 @@ class Machine:
             # the network may duplicate the delivered frame; the copy
             # occupies the wire again and is discarded at the receiver.
             if inj.should_duplicate():
-                t_dup = self.cost.message_time(n_elements, hops=hops)
-                self.trace.record(
-                    Event(
-                        phase,
-                        EventKind.MESSAGE,
-                        actor,
-                        t_dup,
-                        quantity=int(n_elements),
-                        label=tag,
-                        src=src,
-                        dst=dst,
-                    )
+                total += self._charge_message(
+                    phase, actor, src, dst, n_elements, tag, hops
                 )
-                total += t_dup
                 inj.stats.count(phase, "attempts")
                 accepted = self._deliver(msg, None)
                 if not accepted:
                     inj.stats.count(phase, "duplicates")
-                    self.trace.record(
-                        Event(
-                            phase,
-                            EventKind.FAULT,
-                            actor,
-                            0.0,
-                            quantity=int(n_elements),
-                            label="duplicate",
-                            src=src,
-                            dst=dst,
-                        )
+                    self._record_fault(
+                        phase, actor, src, dst, n_elements, "duplicate"
                     )
             return total
 
@@ -605,19 +558,19 @@ class Machine:
         mismatch — which the reliable-delivery protocol guarantees never
         happens unless someone mutated a delivered payload.
         """
-        self._check_rank(rank)
-        self._check_not_failed(rank)
-        msg = self.procs[rank].receive(tag)
+        msg = self._pop_frame(rank, tag)
         if self.faults is not None and msg.checksum is not None:
             from ..faults.checksum import CorruptFrameError, payload_checksum
 
+            # a checksummed frame crossed the wire to physical rank msg.dst
+            # (ghost frames carry no checksum: nothing to verify)
             if phase is not None:
-                self.charge_proc_ops(
-                    rank, msg.n_elements, phase, label="checksum-verify"
+                self._charge_proc(
+                    msg.dst, msg.n_elements, phase, label="checksum-verify"
                 )
             if payload_checksum(msg.payload) != msg.checksum:
                 raise CorruptFrameError(
-                    f"rank {rank}: frame seq={msg.seq} tag={msg.tag!r} failed "
+                    f"rank {msg.dst}: frame seq={msg.seq} tag={msg.tag!r} failed "
                     "checksum verification after delivery"
                 )
         return msg
@@ -631,15 +584,18 @@ class Machine:
         behaviour — guards, charge, error text — matches :meth:`receive`
         exactly.  Scheme code uses :meth:`receive` or a pool, never this.
         """
-        self._check_rank(rank)
-        self._check_not_failed(rank)
-        return self.procs[rank].receive(tag)
+        return self.processor(rank).receive(tag)
 
     def host_receive(self, tag: str | None = None) -> Message:
-        """Pop the host's oldest message (optionally the oldest with ``tag``)."""
+        """Pop the host's oldest message (optionally the oldest with ``tag``).
+
+        Under a survivor roster the source comes back as its virtual rank.
+        """
         for i, msg in enumerate(self.host_mailbox):
             if tag is None or msg.tag == tag:
-                return self.host_mailbox.pop(i)
+                msg = self.host_mailbox.pop(i)
+                virtual = self._virtual.get(msg.src)
+                return msg if virtual is None else replace(msg, src=virtual)
         raise LookupError(
             "host: no message" + (f" with tag {tag!r}" if tag else "")
         )
@@ -669,13 +625,7 @@ class Machine:
         self.membership.declare_dead(
             rank, phase=phase.value, missed_acks=missed_acks, time_ms=time_ms
         )
-        self.trace.record(
-            Event(
-                phase, EventKind.FAULT, HOST, 0.0,
-                quantity=missed_acks, label="fail-stop-detect",
-                src=HOST, dst=rank,
-            )
-        )
+        self._record_fault(phase, HOST, HOST, rank, missed_acks, "fail-stop-detect")
         self.obs.record_detection(rank, missed_acks, time_ms)
         # the node is gone: everything it held or had queued dies with it
         self.procs[rank].reset()
@@ -691,8 +641,10 @@ class Machine:
         zero-element heartbeat probes — each charged ``T_Startup·hops``
         plus the retry policy's backoff — and only then declares the rank
         dead.  Returns the total time charged (0.0 if already declared).
+        ``rank`` is physical, like the membership and :class:`DeadRankError`.
         """
-        self._check_rank(rank)
+        if not 0 <= rank < len(self.procs):
+            raise ValueError(f"rank {rank} out of range for p={len(self.procs)}")
         if not self.membership.is_alive(rank):
             return 0.0
         inj = self.faults
@@ -701,26 +653,15 @@ class Machine:
         if not inj.rank_failed(rank):
             raise ValueError(f"rank {rank} is alive; nothing to confirm")
         fs = inj.spec.fail_stop
-        policy = inj.spec.retry
         hops = max(self.topology.hops(HOST, rank), 1)
         total = 0.0
         with self.obs.span(
             "machine.confirm_failure", phase=phase.value, rank=str(rank)
         ):
             for attempt in range(1, fs.detect_after + 1):
-                t = self.cost.message_time(0, hops=hops)
-                self.trace.record(
-                    Event(
-                        phase, EventKind.MESSAGE, HOST, t,
-                        quantity=0, label="heartbeat", src=HOST, dst=rank,
-                    )
-                )
-                backoff = policy.backoff_ms(attempt)
-                self.trace.record(
-                    Event(
-                        phase, EventKind.RETRY, HOST, backoff,
-                        quantity=attempt, label="heartbeat", src=HOST, dst=rank,
-                    )
+                t = self._charge_message(phase, HOST, HOST, rank, 0, "heartbeat", hops)
+                backoff = self._charge_retry(
+                    phase, HOST, HOST, rank, attempt, "heartbeat"
                 )
                 total += t + backoff
                 inj.stats.count(phase, "attempts")
@@ -804,7 +745,8 @@ class Machine:
                 if self.executor is not None
                 else current_executor_name()
             )
-            self._exec_session = get_executor(name).create_session(self.n_procs)
+            # sized by the physical roster, whatever the rank map says
+            self._exec_session = get_executor(name).create_session(len(self.procs))
             # a supervised session reports restarts/reaps through obs; the
             # hook is duck-typed so sim/bare sessions need no knowledge of it
             attach = getattr(self._exec_session, "attach_obs", None)
@@ -833,17 +775,70 @@ class Machine:
             self._exec_session.shutdown()
             self._exec_session = None
 
-    def _check_rank(self, rank: int) -> None:
+    # ------------------------------------------------------------------
+    # the rank map
+    # ------------------------------------------------------------------
+    def remap(
+        self, survivors: Sequence[int] | None = None, *, ghosts: Iterable[int] = ()
+    ) -> None:
+        """Choose the roster every rank argument of this machine addresses.
+
+        ``remap()`` restores the identity map (as :meth:`reset` does).
+        ``remap(survivors)`` presents those physical ranks as a dense
+        roster: virtual rank ``r`` is physical ``survivors[r]`` and
+        :attr:`n_procs` becomes ``p'``, so a scheme re-planned for ``p'``
+        processors runs unchanged on the survivors.
+        ``remap(ghosts=dead)`` keeps the original roster and stands a fresh
+        host-held ghost :class:`Processor` in for each dead rank: a send to
+        a ghost is a host-local move (one op per element, labelled
+        ``ghost-send[:tag]``), a gather from it is labelled
+        ``ghost-gather[:tag]``, its compute is charged to the host's serial
+        timeline as ``ghost-…`` ops, its receives skip the checksum and its
+        pool tasks run inline.  Afterwards the ghosts hold exactly what
+        the dead processors would have held.
+        """
+        p = len(self.procs)
+        roster = None if survivors is None else [int(r) for r in survivors]
+        ghosts = sorted(ghosts)
+        if roster is not None:
+            if ghosts:
+                raise ValueError("a roster has survivors or ghosts, not both")
+            if not roster:
+                raise ValueError("a survivor roster needs at least one rank")
+            if len(set(roster)) != len(roster):
+                raise ValueError(f"duplicate rank in survivor roster {roster}")
+        for rank in (roster or []) + ghosts:
+            if not 0 <= rank < p:
+                raise ValueError(f"rank {rank} out of range for p={p}")
+        for rank in ghosts:
+            if self.membership.is_alive(rank):
+                raise ValueError(f"rank {rank} is alive; it cannot be a ghost")
+        self._roster = roster
+        self._virtual = {} if roster is None else {r: v for v, r in enumerate(roster)}
+        self._ghosts = {rank: Processor(rank) for rank in ghosts}
+        self.n_procs = p if roster is None else len(roster)
+
+    def physical(self, rank: int) -> int:
+        """The physical rank behind ``rank`` under the current rank map."""
         if not 0 <= rank < self.n_procs:
             raise ValueError(f"rank {rank} out of range for p={self.n_procs}")
+        return rank if self._roster is None else self._roster[rank]
+
+    def is_ghost(self, rank: int) -> bool:
+        """True when ``rank`` is a host-held ghost slot (see :meth:`remap`)."""
+        return rank in self._ghosts
 
     def processor(self, rank: int) -> Processor:
-        self._check_rank(rank)
+        if rank in self._ghosts:
+            return self._ghosts[rank]
+        rank = self.physical(rank)
         self._check_not_failed(rank)
         return self.procs[rank]
 
     def reset(self) -> None:
         """Clear all processor memories and mailboxes; start a new trace.
+
+        The rank map goes back to the identity.
 
         The old :class:`TraceLog` is replaced, not cleared, so a recorder
         bound to the finished run keeps that run's events; the machine
@@ -861,6 +856,7 @@ class Machine:
         self.trace = TraceLog()
         self.obs = NULL_OBS
         self.membership.reset()
+        self.remap()
         if self.faults is not None:
             self.faults.reset()
         if self._exec_session is not None:

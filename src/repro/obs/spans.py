@@ -194,8 +194,9 @@ class Observability:
                 "this Observability is already bound to another run's "
                 "trace; build a fresh recorder per run"
             )
-        self.n_procs = machine.n_procs
-        self.meta.setdefault("n_procs", machine.n_procs)
+        # trace lanes are physical ranks, whatever the machine's rank map
+        self.n_procs = len(machine.procs)
+        self.meta.setdefault("n_procs", self.n_procs)
         self.trace = machine.trace
 
     # ------------------------------------------------------------------

@@ -144,41 +144,54 @@ class PartitionPlan:
 
     def validate(self) -> None:
         """Check the plan is a true partition: every (row, col) cell of the
-        global array is owned by exactly one processor."""
+        global array is owned by exactly one processor.
+
+        Exact at every size, without an ``n×m`` cover array: every id is in
+        range, no block repeats an id, the block areas sum to ``n·m`` and
+        the blocks are pairwise disjoint — then they tile the array.  Each
+        block is a row set × a column set, so two blocks share a cell
+        exactly when both their row sets and their column sets intersect:
+        ``(R·Rᵀ > 0) & (C·Cᵀ > 0)`` off the diagonal, for the ``p×n`` and
+        ``p×m`` owner matrices ``R`` and ``C``.
+        """
         n_rows, n_cols = self.global_shape
         if not self.assignments:
             raise ValueError("a partition plan needs at least one assignment")
         ranks = [a.rank for a in self.assignments]
         if ranks != list(range(len(ranks))):
             raise ValueError(f"assignment ranks must be 0..p-1 in order, got {ranks}")
-        cover = np.zeros((n_rows, n_cols), dtype=np.int32) if n_rows * n_cols <= 1 << 22 else None
-        if cover is not None:
-            for a in self.assignments:
-                cover[np.ix_(a.row_ids, a.col_ids)] += 1
-            if not np.all(cover == 1):
-                missing = int(np.sum(cover == 0))
-                multi = int(np.sum(cover > 1))
-                raise ValueError(
-                    f"plan does not partition the array: {missing} cells uncovered, "
-                    f"{multi} covered more than once"
-                )
-        else:
-            # Large arrays: cheap structural check. All plans we generate are
-            # cross products of a row ownership map and a column ownership
-            # map; verify each dimension's ids are within range and that the
-            # total covered cell count matches.
-            total = sum(len(a.row_ids) * len(a.col_ids) for a in self.assignments)
-            if total != n_rows * n_cols:
-                raise ValueError(
-                    f"plan covers {total} cells, expected {n_rows * n_cols}"
-                )
-            for a in self.assignments:
-                for ids, bound, what in (
-                    (a.row_ids, n_rows, "row"),
-                    (a.col_ids, n_cols, "column"),
-                ):
-                    if len(ids) and (ids.min() < 0 or ids.max() >= bound):
-                        raise ValueError(f"{what} ids out of range on rank {a.rank}")
+        row_owner = np.zeros((len(ranks), n_rows), dtype=np.float32)
+        col_owner = np.zeros((len(ranks), n_cols), dtype=np.float32)
+        for a in self.assignments:
+            for ids, owner, what in (
+                (a.row_ids, row_owner, "row"),
+                (a.col_ids, col_owner, "column"),
+            ):
+                if len(ids) and (ids.min() < 0 or ids.max() >= owner.shape[1]):
+                    raise ValueError(f"{what} ids out of range on rank {a.rank}")
+                owner[a.rank, ids] = 1
+                if np.count_nonzero(owner[a.rank]) != len(ids):
+                    raise ValueError(
+                        f"plan does not partition the array: rank {a.rank} "
+                        f"lists a {what} id more than once"
+                    )
+        total = sum(len(a.row_ids) * len(a.col_ids) for a in self.assignments)
+        expected = n_rows * n_cols
+        if total != expected:
+            fault = (
+                f"at least {expected - total} cells uncovered"
+                if total < expected
+                else "cells covered more than once"
+            )
+            raise ValueError(f"plan covers {total} cells, expected {expected}: {fault}")
+        shared = (row_owner @ row_owner.T > 0) & (col_owner @ col_owner.T > 0)
+        np.fill_diagonal(shared, False)
+        if shared.any():
+            i, j = np.argwhere(shared)[0]
+            raise ValueError(
+                f"plan does not partition the array: ranks {i} and {j} share "
+                "cells covered more than once, and as many are uncovered"
+            )
 
     def extract_all(self, global_matrix: COOMatrix) -> list[COOMatrix]:
         """All local sparse arrays, indexed by rank (the partition phase)."""

@@ -4,8 +4,10 @@ The fault layer (:mod:`repro.faults`) makes ranks die; the machine's
 membership layer (:mod:`repro.machine.membership`) makes the host *pay* to
 learn it.  This package is what runs afterwards: scheme-level recovery
 policies (``host-resend`` and ``peer-redistribute``), host-side RO/CO/VL
-checkpoint replicas, rank-remapping machine views, and the iterative-app
-checkpoint/rollback runtime.  See DESIGN.md §"Failure model".
+checkpoint replicas, and the iterative-app checkpoint/rollback runtime.
+All of it drives the plain machine; it only chooses, through
+:meth:`~repro.machine.machine.Machine.remap`, which roster the machine's
+rank arguments address.  See DESIGN.md §"Failure model".
 """
 
 from .checkpoint import (
@@ -17,15 +19,12 @@ from .checkpoint import (
 )
 from .manager import POLICIES, RecoveryRuntime, peer_redistribute, run_with_recovery
 from .summary import RecoverySummary
-from .view import GhostView, SurvivorView
 
 __all__ = [
     "CHECKPOINT_KEY",
-    "GhostView",
     "POLICIES",
     "RecoveryRuntime",
     "RecoverySummary",
-    "SurvivorView",
     "checkpoint_locals",
     "copy_compressed",
     "get_checkpoint",

@@ -9,11 +9,11 @@ pack op per wire element on the processor plus the message cost on the
 host's serial timeline — and stores the replicas in ``host_memory`` under
 :data:`CHECKPOINT_KEY`, stamped with the membership epoch.
 
-The gather works identically through the recovery views: a
-:class:`~repro.recovery.view.GhostView` turns a dead rank's "gather" into
-a host-local move (the ghost replica already lives host-side), and a
-:class:`~repro.recovery.view.SurvivorView` translates virtual ranks so the
-checkpoint is keyed consistently with the plan it covers.
+The gather addresses whatever roster the machine's rank map selects
+(:meth:`~repro.machine.machine.Machine.remap`): a ghost slot's "gather"
+is a host-local move (the ghost replica already lives host-side), and
+under a survivor roster the replicas are keyed by the virtual ranks of
+the plan they cover.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.base import LOCAL_KEY, CompressedLocal
+from ..machine.machine import Machine
 from ..machine.trace import Phase
 from ..partition.base import PartitionPlan
 
@@ -49,26 +50,22 @@ def copy_compressed(comp: CompressedLocal) -> CompressedLocal:
 
 
 def checkpoint_locals(
-    machine: Any, plan: PartitionPlan, *, phase: Phase = Phase.DISTRIBUTION
+    machine: Machine, plan: PartitionPlan, *, phase: Phase = Phase.DISTRIBUTION
 ) -> int:
     """Replicate every rank's compressed local at the host.
 
-    ``machine`` may be a raw :class:`~repro.machine.machine.Machine` or a
-    recovery view; ``plan`` must be the plan whose blocks the processors
-    currently hold.  Each rank packs its ``RO``/``CO``/``VL`` wire image
-    (one op per element) and sends the copy host-ward; the host stores the
-    replicas keyed by the plan's rank, together with the plan and the
-    membership epoch.  Returns the number of elements gathered (the
+    ``plan`` must be the plan whose blocks the processors the machine
+    addresses currently hold.  Each rank packs its ``RO``/``CO``/``VL``
+    wire image (one op per element) and sends the copy host-ward; the
+    host stores the replicas keyed by the plan's rank, together with the
+    plan and the membership epoch.  Returns the number of elements gathered (the
     checkpoint's wire footprint).
 
     May raise :class:`~repro.machine.membership.DeadRankError` if a doomed
     rank dies mid-gather — callers retry after confirming the failure.
     """
-    from ..obs.spans import NULL_OBS
-
-    obs = getattr(machine, "obs", NULL_OBS)
     elements = 0
-    with obs.span("recovery.checkpoint", phase=phase.value, p=plan.n_procs):
+    with machine.obs.span("recovery.checkpoint", phase=phase.value, p=plan.n_procs):
         for assignment in plan:
             comp = machine.processor(assignment.rank).load(LOCAL_KEY)
             if comp.shape != assignment.local_shape:
@@ -94,7 +91,7 @@ def checkpoint_locals(
             "blocks": blocks,
             "elements": elements,
         }
-    obs.count(
+    machine.obs.count(
         "repro_checkpoint_elements_total",
         elements,
         help="Wire elements gathered into host-side checkpoints",
@@ -102,6 +99,6 @@ def checkpoint_locals(
     return elements
 
 
-def get_checkpoint(machine: Any) -> dict[str, Any] | None:
+def get_checkpoint(machine: Machine) -> dict[str, Any] | None:
     """The current checkpoint record, or ``None`` if none was taken."""
     return machine.host_memory.get(CHECKPOINT_KEY)

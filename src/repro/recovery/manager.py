@@ -13,19 +13,24 @@ degraded-mode redistribution*), both exposed through
 
 ``peer-redistribute``
     The paper-faithful degraded-mode variant: the *old* partition's blocks
-    are first completed under the original plan — a dead rank's share is
-    simulated host-side by a ghost replica (:class:`~repro.recovery.view.
-    GhostView`) — then every block is checkpointed at the host and the
-    survivors absorb the lost partition point-to-point with the ED-style
-    coordinate-pair wire format of :mod:`repro.core.redistribute`.  A death
-    *during* recovery falls back to sourcing every block from the host
-    checkpoints (survivor state may already be half-overwritten).
+    are first completed under the original plan — the machine addresses
+    the original roster with a host-side ghost slot for each dead rank —
+    then every block is checkpointed at the host and the survivors absorb
+    the lost partition point-to-point with the ED-style coordinate-pair
+    wire format of :mod:`repro.core.redistribute`.  A death *during*
+    recovery falls back to sourcing every block from the host checkpoints
+    (survivor state may already be half-overwritten).
+
+Each policy only chooses which roster the machine addresses
+(:meth:`~repro.machine.machine.Machine.remap`): the original one with
+ghosts, or the dense survivor roster ``0..p'-1``.  Scheme, app and
+recovery code then calls the plain machine.
 
 Both policies terminate: every failed round permanently removes at least
 one rank, and the injector always spares at least one survivor.  Both end
 with every survivor holding the block of a fresh ``p'``-processor plan —
 byte-identical to a fault-free run on the surviving membership, which the
-chaos suite pins.
+chaos suite pins — and with the machine addressing the survivors.
 
 :class:`RecoveryRuntime` carries the same machinery into the iterative
 apps: it checkpoints the current plan's locals, and on a mid-iteration
@@ -59,7 +64,6 @@ from ..partition.base import PartitionMethod, PartitionPlan
 from ..sparse.coo import COOMatrix
 from .checkpoint import CHECKPOINT_KEY, checkpoint_locals, get_checkpoint
 from .summary import RecoverySummary
-from .view import GhostView, SurvivorView, make_ghosts
 
 __all__ = [
     "POLICIES",
@@ -72,8 +76,8 @@ __all__ = [
 POLICIES = ("host-resend", "peer-redistribute")
 
 #: a block source for peer redistribution: held by a live processor
-#: (``("proc", physical_rank)``) or replicated at the host
-#: (``("host", compressed_block)``)
+#: (``("proc", rank)``, a rank of the survivor roster) or replicated at
+#: the host (``("host", compressed_block)``)
 Source = tuple[str, object]
 
 _PHASES = (Phase.DISTRIBUTION, Phase.COMPRESSION, Phase.COMPUTE)
@@ -140,7 +144,6 @@ def _summary(
 def peer_redistribute(
     machine: Machine,
     old_plan: PartitionPlan,
-    new_view: SurvivorView,
     new_plan: PartitionPlan,
     compression: Type[CompressedLocal],
     *,
@@ -149,11 +152,11 @@ def peer_redistribute(
 ) -> list[CompressedLocal]:
     """Move ``old_plan`` blocks onto the survivors' ``new_plan`` blocks.
 
+    ``machine`` addresses the survivor roster ``new_plan`` covers.
     ``sources[old_rank]`` says where that block's data lives right now:
-    ``("proc", phys)`` — on live physical processor ``phys`` (sent
+    ``("proc", rank)`` — on live processor ``rank`` of that roster (sent
     point-to-point, ED-style triplet buffers); ``("host", block)`` — as a
     host-side replica (ghost state or checkpoint; the host sends it).
-    Destinations are the *virtual* ranks of ``new_view``.
 
     Charges mirror :func:`repro.core.redistribute.redistribute`: one scan
     op per stored nonzero, three encode ops per forwarded nonzero, the
@@ -170,7 +173,7 @@ def peer_redistribute(
         new_p=new_plan.n_procs,
     ):
         return _peer_redistribute_impl(
-            machine, old_plan, new_view, new_plan, compression,
+            machine, old_plan, new_plan, compression,
             sources=sources, phase=phase,
         )
 
@@ -178,7 +181,6 @@ def peer_redistribute(
 def _peer_redistribute_impl(
     machine: Machine,
     old_plan: PartitionPlan,
-    new_view: SurvivorView,
     new_plan: PartitionPlan,
     compression: Type[CompressedLocal],
     *,
@@ -220,23 +222,21 @@ def _peer_redistribute_impl(
             if count == 0:
                 continue
             buffer = triplet_buffer(g_rows, g_cols, values, mask)
-            dest_phys = new_view.physical(dst)
             if src_kind == "proc":
                 machine.charge_proc_ops(
                     src_val, 3 * count, phase, label="recover-encode"
                 )
-                if src_val == dest_phys:
+                if src_val == dst:
                     staged[dst].append(buffer)  # stays local, no wire cost
                 else:
                     machine.send(
-                        dest_phys, buffer, len(buffer), phase,
+                        dst, buffer, len(buffer), phase,
                         src=src_val, tag="recover",
                     )
             else:
                 machine.charge_host_ops(3 * count, phase, label="recover-encode")
                 machine.send(
-                    dest_phys, buffer, len(buffer), phase,
-                    src=HOST, tag="recover",
+                    dst, buffer, len(buffer), phase, src=HOST, tag="recover"
                 )
 
     locals_: list[CompressedLocal] = []
@@ -245,15 +245,13 @@ def _peer_redistribute_impl(
         while True:
             try:
                 pieces.append(
-                    new_view.receive(
-                        assignment.rank, "recover", phase=phase
-                    ).payload
+                    machine.receive(assignment.rank, "recover", phase=phase).payload
                 )
             except LookupError:
                 break
         locals_.append(
             assemble_block(
-                new_view, assignment, pieces, new_plan.global_shape, compression
+                machine, assignment, pieces, new_plan.global_shape, compression
             )
         )
     return locals_
@@ -276,9 +274,10 @@ def run_with_recovery(
     Returns a :class:`SchemeResult` for the *surviving* membership: its
     plan covers ``p'`` virtual processors and its ``locals_`` are exactly
     what a fault-free run on a ``p'``-processor machine would produce
-    (the recovery invariant, pinned by ``tests/recovery/``).  All aborted
-    work, detection timeouts and recovery traffic stay charged in the
-    machine's trace and are reported in ``result.recovery_summary``.
+    (the recovery invariant, pinned by ``tests/recovery/``).  The machine
+    is left addressing those survivors.  All aborted work, detection
+    timeouts and recovery traffic stay charged in the machine's trace and
+    are reported in ``result.recovery_summary``.
 
     With no fail-stop failure the scheme runs exactly once, unmodified.
     """
@@ -307,15 +306,10 @@ def _run_host_resend(
     snapshot: tuple[int, int, float] | None = None
     failure_sequence: list[int] = []
     while True:
-        survivors = machine.membership.survivors
-        view = (
-            machine
-            if len(survivors) == machine.n_procs
-            else SurvivorView(machine, survivors)
-        )
-        plan = partition.plan(global_matrix.shape, len(survivors))
+        machine.remap(machine.membership.survivors)
+        plan = partition.plan(global_matrix.shape, machine.n_procs)
         try:
-            result = scheme.run(view, global_matrix, plan, compression)
+            result = scheme.run(machine, global_matrix, plan, compression)
             break
         except DeadRankError as err:
             if snapshot is None:
@@ -358,13 +352,10 @@ def _run_peer(
     # -- phase A: produce the full old-plan state, ghosting dead slots -----
     while True:
         dead = machine.membership.dead
-        ghosts = make_ghosts(dead)
-        gview: Machine | GhostView = (
-            GhostView(machine, ghosts) if ghosts else machine
-        )
+        machine.remap(ghosts=dead)
         try:
-            base_result = scheme.run(gview, global_matrix, old_plan, compression)
-            if not ghosts:
+            base_result = scheme.run(machine, global_matrix, old_plan, compression)
+            if not dead:
                 # clean run: nothing to recover
                 return replace(
                     base_result,
@@ -379,7 +370,7 @@ def _run_peer(
             # replicate every old block at the host (live blocks gathered,
             # ghost blocks moved host-locally)
             checkpoint_elements = checkpoint_locals(
-                gview, old_plan, phase=Phase.DISTRIBUTION
+                machine, old_plan, phase=Phase.DISTRIBUTION
             )
             break
         except DeadRankError as err:
@@ -398,18 +389,18 @@ def _run_peer(
     from_checkpoints_only = False
     while True:
         survivors = machine.membership.survivors
-        new_plan = partition.plan(global_matrix.shape, len(survivors))
-        new_view = SurvivorView(machine, survivors)
+        machine.remap(survivors)
+        new_plan = partition.plan(global_matrix.shape, machine.n_procs)
         blocks = machine.host_memory[CHECKPOINT_KEY]["blocks"]
         sources: dict[int, Source] = {}
         for a in old_plan:
             if not from_checkpoints_only and machine.membership.is_alive(a.rank):
-                sources[a.rank] = ("proc", a.rank)
+                sources[a.rank] = ("proc", survivors.index(a.rank))
             else:
                 sources[a.rank] = ("host", blocks[a.rank])
         try:
             locals_ = peer_redistribute(
-                machine, old_plan, new_view, new_plan, compression,
+                machine, old_plan, new_plan, compression,
                 sources=sources, phase=Phase.DISTRIBUTION,
             )
             break
@@ -426,7 +417,7 @@ def _run_peer(
                 policy="peer-redistribute",
             )
 
-    result = scheme._result(new_view, global_matrix, new_plan, kind, locals_)
+    result = scheme._result(machine, global_matrix, new_plan, kind, locals_)
     return replace(
         result,
         recovery_summary=_summary(
@@ -446,14 +437,16 @@ def _run_peer(
 class RecoveryRuntime:
     """Checkpoint/rollback support for the iterative apps.
 
-    Construct it after a successful scheme run: it gathers a host-side
-    checkpoint of the current plan's locals (charged), then hands the apps
-    a ``(view, plan)`` pair to compute against.  When an iteration dies
-    with :class:`DeadRankError`, :meth:`handle` confirms the failure,
-    restores a degraded ``p'`` plan purely from the checkpoints, refreshes
-    the checkpoint under the new plan, and bumps :attr:`rollbacks` — the
-    caller then simply replays the interrupted iteration (the app's
-    vectors live host-side and were never lost).
+    Construct it after a successful scheme run: it points the machine at
+    the surviving roster, gathers a host-side checkpoint of the current
+    plan's locals (charged), then hands the apps a ``(machine, plan)``
+    pair to compute against.  When an iteration dies with
+    :class:`DeadRankError`, :meth:`handle` confirms the failure, restores
+    a degraded ``p'`` plan purely from the checkpoints, refreshes the
+    checkpoint under the new plan, leaves the machine addressing the new
+    survivors and bumps :attr:`rollbacks` — the caller then simply
+    replays the interrupted iteration (the app's vectors live host-side
+    and were never lost).
     """
 
     def __init__(
@@ -476,22 +469,18 @@ class RecoveryRuntime:
         self.partition = partition
         self.phase = phase
         survivors = machine.membership.survivors
-        self.view: Machine | SurvivorView = (
-            machine
-            if len(survivors) == machine.n_procs
-            else SurvivorView(machine, survivors)
-        )
         if plan.n_procs != len(survivors):
             raise ValueError(
                 f"plan has {plan.n_procs} blocks but {len(survivors)} ranks "
                 "are alive"
             )
+        machine.remap(survivors)
         self.plan = plan
         self.rollbacks = 0
         self.recovery_rounds = 0
         self.failure_sequence: list[int] = []
         self._snapshot: tuple[int, int, float] | None = None
-        self.checkpoint_elements = checkpoint_locals(self.view, plan, phase=phase)
+        self.checkpoint_elements = checkpoint_locals(machine, plan, phase=phase)
 
     def handle(self, err: DeadRankError) -> None:
         """Repair the machine after a mid-iteration fail-stop death."""
@@ -504,11 +493,10 @@ class RecoveryRuntime:
         ):
             while True:
                 self.recovery_rounds += 1
-                survivors = self.machine.membership.survivors
+                self.machine.remap(self.machine.membership.survivors)
                 new_plan = self.partition.plan(
-                    self.plan.global_shape, len(survivors)
+                    self.plan.global_shape, self.machine.n_procs
                 )
-                new_view = SurvivorView(self.machine, survivors)
                 ckpt = get_checkpoint(self.machine)
                 if ckpt is None:  # pragma: no cover - defensive
                     raise RuntimeError("no checkpoint to recover from")
@@ -518,20 +506,19 @@ class RecoveryRuntime:
                 }
                 try:
                     peer_redistribute(
-                        self.machine, ckpt["plan"], new_view, new_plan,
+                        self.machine, ckpt["plan"], new_plan,
                         self.compression, sources=sources, phase=self.phase,
                     )
                     # the recovery round is complete: only now swap the
                     # checkpoint over to the new plan (a half-finished round
                     # must be able to restart from the old epoch's replicas)
                     self.checkpoint_elements += checkpoint_locals(
-                        new_view, new_plan, phase=self.phase
+                        self.machine, new_plan, phase=self.phase
                     )
                     break
                 except DeadRankError as err2:
                     self.failure_sequence.append(err2.rank)
                     _confirm(self.machine, err2, self.phase)
-        self.view = new_view
         self.plan = new_plan
         self.rollbacks += 1
         self.machine.obs.count(

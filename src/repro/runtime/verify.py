@@ -40,7 +40,7 @@ def verify_distribution(
                     f"rank {assignment.rank}: {attr} mismatch "
                     f"({result.scheme}/{result.partition}/{result.compression})"
                 )
-        if not np.allclose(got.values, expected.values):
+        if not np.array_equal(got.values, expected.values):
             raise AssertionError(f"rank {assignment.rank}: values mismatch")
 
 
@@ -65,7 +65,7 @@ def verify_all_schemes_agree(results: list[SchemeResult]) -> None:
                 a.shape == b.shape
                 and np.array_equal(a.indptr, b.indptr)
                 and np.array_equal(a.indices, b.indices)
-                and np.allclose(a.values, b.values)
+                and np.array_equal(a.values, b.values)
             )
             if not same:
                 raise AssertionError(

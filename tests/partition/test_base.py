@@ -135,7 +135,7 @@ class TestPartitionPlan:
             PartitionPlan("bad", (2, 2), ())
 
     def test_large_array_structural_validation(self):
-        """Above the dense-cover threshold, the cheap count check runs."""
+        """A large plan validates exactly, without an n×m cover array."""
         n = 3000  # 9M cells > 1<<22
         plan = RowPartition().plan((n, n), 3)
         assert plan.n_procs == 3  # construction validates internally
@@ -145,6 +145,33 @@ class TestPartitionPlan:
         good = RowPartition().plan((n, n), 3)
         with pytest.raises(ValueError, match="covers"):
             PartitionPlan("bad", (n, n), good.assignments[:2])
+
+    def test_large_array_overlap_plus_gap_rejected(self):
+        """Two row blocks whose areas sum to n·m, yet row 1050 has two
+        owners and row 2099 none: rejected at a size (n·m > 1<<22) where
+        a cover-count check cannot tell."""
+        n = 2100
+        cols = np.arange(n)
+        with pytest.raises(ValueError, match="more than once"):
+            PartitionPlan(
+                "bad",
+                (n, n),
+                (
+                    self._assignment(0, np.arange(0, 1051), cols),
+                    self._assignment(1, np.arange(1050, 2099), cols),
+                ),
+            )
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="more than once"):
+            PartitionPlan(
+                "bad",
+                (2, 2),
+                (
+                    self._assignment(0, [0, 0], [0, 1]),
+                    self._assignment(1, [1], [0, 1]),
+                ),
+            )
 
     def test_extract_all_partitions_nnz(self, medium_matrix):
         plan = RowPartition().plan(medium_matrix.shape, 7)

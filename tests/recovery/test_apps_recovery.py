@@ -57,8 +57,8 @@ class TestResilientSpmv:
         machine.faults.kill_rank(1)
         x = np.ones(24)
         first = resilient_spmv(runtime, x)
-        # post-repair multiplies go through the degraded view faultlessly
-        second = distributed_spmv(runtime.view, runtime.plan, x)
+        # post-repair multiplies go through the remapped machine faultlessly
+        second = distributed_spmv(runtime.machine, runtime.plan, x)
         np.testing.assert_allclose(first, second)
         assert runtime.rollbacks == 1
 
