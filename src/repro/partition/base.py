@@ -17,7 +17,7 @@ which conversion needs the full gather map — the plan exposes both forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -62,35 +62,29 @@ class BlockAssignment:
     row_ids: np.ndarray = field(repr=False)
     col_ids: np.ndarray = field(repr=False)
     mesh_coords: Optional[tuple[int, int]] = None
+    #: each id list is one run ``i0, i0+1, …`` (needed by the paper's
+    #: index-conversion cases); set once, at construction
+    rows_contiguous: bool = field(init=False, repr=False, compare=False)
+    cols_contiguous: bool = field(init=False, repr=False, compare=False)
+    #: both id lists ascending, so the block's local row-major order is its
+    #: global one
+    ascending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "row_ids", np.ascontiguousarray(self.row_ids, dtype=np.int64)
-        )
-        object.__setattr__(
-            self, "col_ids", np.ascontiguousarray(self.col_ids, dtype=np.int64)
-        )
-        self.row_ids.setflags(write=False)
-        self.col_ids.setflags(write=False)
+        ascending = True
+        for ids, name in ((self.row_ids, "row"), (self.col_ids, "col")):
+            ids = np.ascontiguousarray(ids, dtype=np.int64)
+            ids.setflags(write=False)
+            rising = len(ids) < 2 or bool((ids[1:] > ids[:-1]).all())
+            run = rising and (len(ids) == 0 or int(ids[-1] - ids[0]) == len(ids) - 1)
+            ascending = ascending and rising
+            object.__setattr__(self, f"{name}_ids", ids)
+            object.__setattr__(self, f"{name}s_contiguous", run)
+        object.__setattr__(self, "ascending", ascending)
 
     @property
     def local_shape(self) -> tuple[int, int]:
         return (len(self.row_ids), len(self.col_ids))
-
-    # -- contiguity helpers (needed by the paper's index-conversion cases) --
-    @staticmethod
-    def _is_contiguous(ids: np.ndarray) -> bool:
-        return len(ids) == 0 or bool(
-            np.array_equal(ids, np.arange(ids[0], ids[0] + len(ids)))
-        )
-
-    @property
-    def rows_contiguous(self) -> bool:
-        return self._is_contiguous(self.row_ids)
-
-    @property
-    def cols_contiguous(self) -> bool:
-        return self._is_contiguous(self.col_ids)
 
     @property
     def row_offset(self) -> int:
@@ -194,12 +188,139 @@ class PartitionPlan:
             )
 
     def extract_all(self, global_matrix: COOMatrix) -> list[COOMatrix]:
-        """All local sparse arrays, indexed by rank (the partition phase)."""
+        """All local sparse arrays, indexed by rank (the partition phase).
+
+        One pass over the nonzeros, not one per rank: :meth:`_bands` gives
+        each nonzero its owner, :func:`_bucket` splits them by owner in
+        their global (canonical, row-major) order, and a block is re-sorted
+        only when its ids are not ascending.
+        :meth:`BlockAssignment.extract_local` stays the per-rank oracle.
+        """
         if global_matrix.shape != self.global_shape:
             raise ValueError(
                 f"matrix shape {global_matrix.shape} != plan shape {self.global_shape}"
             )
-        return [a.extract_local(global_matrix) for a in self.assignments]
+        n_rows, n_cols = self.global_shape
+        out = [COOMatrix.empty(a.local_shape) for a in self.assignments]
+        for ranks, arrays, owner in self._bands(global_matrix):
+            # a band of one rank is a view of the matrix; _bucket's parts
+            # are new, so they are localised in place
+            parts = [arrays] if owner is None else _bucket(owner, len(ranks), arrays)
+            ours = owner is not None
+            for a, (rows, cols, values) in zip(ranks, parts):
+                out[a.rank] = COOMatrix(
+                    a.local_shape,
+                    _to_local(a.row_ids, a.rows_contiguous, n_rows, rows, ours),
+                    _to_local(a.col_ids, a.cols_contiguous, n_cols, cols, ours),
+                    values,
+                    canonical=a.ascending,
+                )
+        return out
+
+    def _bands(self, matrix: COOMatrix) -> Iterator[_Band]:
+        """The nonzeros in bands: yields ``(ranks, (rows, cols, values),
+        owner)``, where ``owner[i]`` indexes ``ranks`` (``None`` when the
+        band has one rank).
+
+        Ranks that share a row set form a row band.  When the row bands are
+        disjoint (every method in this package), the ranks of a band split
+        the columns, so an owner is a table lookup; and when each band's
+        rows are contiguous, the band is a ``searchsorted`` slice of the
+        canonical COO.  Otherwise all nonzeros form one band, whose owners
+        come from a row-band × column table or, for a plan that is not a
+        row-band × column grid, rank by rank.
+        """
+        n_rows, n_cols = self.global_shape
+        live = [a for a in self.assignments if len(a.row_ids) and len(a.col_ids)]
+        by_rows: dict[bytes, list[BlockAssignment]] = {}
+        for a in live:
+            by_rows.setdefault(a.row_ids.tobytes(), []).append(a)
+        bands = list(by_rows.values())
+        nonzeros = (matrix.rows, matrix.cols, matrix.values)
+        owner_type = np.min_scalar_type(len(live))
+        if sum(len(band[0].row_ids) for band in bands) != n_rows:
+            owner = np.empty(matrix.nnz, dtype=owner_type)
+            for k, a in enumerate(live):
+                in_rows = np.zeros(n_rows, dtype=bool)
+                in_cols = np.zeros(n_cols, dtype=bool)
+                in_rows[a.row_ids] = in_cols[a.col_ids] = True
+                owner[in_rows[matrix.rows] & in_cols[matrix.cols]] = k
+            yield live, nonzeros, owner
+        elif all(band[0].rows_contiguous for band in bands):
+            for ranks in bands:
+                ids = ranks[0].row_ids
+                lo, hi = np.searchsorted(matrix.rows, (ids[0], ids[-1] + 1))
+                arrays = tuple(x[lo:hi] for x in nonzeros)
+                split: Optional[np.ndarray] = None
+                if len(ranks) > 1:
+                    table = np.empty(n_cols, dtype=owner_type)
+                    for k, a in enumerate(ranks):
+                        table[a.col_ids] = k
+                    split = table[arrays[1]]
+                yield ranks, arrays, split
+        else:
+            band_of = np.empty(n_rows, dtype=np.intp)
+            table = np.empty((len(bands), n_cols), dtype=owner_type)
+            ranks = []
+            for b, band in enumerate(bands):
+                band_of[band[0].row_ids] = b
+                for a in band:
+                    table[b, a.col_ids] = len(ranks)
+                    ranks.append(a)
+            owner = table[band_of[matrix.rows], matrix.cols]
+            yield ranks, nonzeros, owner if len(ranks) > 1 else None
+
+
+#: one band of :meth:`PartitionPlan._bands`: its ranks, its nonzeros'
+#: ``(rows, cols, values)`` and each nonzero's index into the ranks
+_Band = tuple[list[BlockAssignment], tuple[np.ndarray, ...], Optional[np.ndarray]]
+
+#: nonzeros per chunk of :func:`_bucket` (a 512 KiB permutation)
+_CHUNK = 1 << 16
+
+
+def _bucket(
+    owner: np.ndarray, n_owners: int, arrays: tuple[np.ndarray, ...]
+) -> list[tuple[np.ndarray, ...]]:
+    """Split parallel arrays by a small-int ``owner``, keeping their order.
+
+    A stable counting sort, run in chunks so no permutation longer than
+    ``_CHUNK`` is ever held; each owner's part is allocated once, at its
+    final size.
+    """
+    chunks = [owner[at : at + _CHUNK] for at in range(0, len(owner), _CHUNK)]
+    counts = np.array(
+        [np.bincount(chunk, minlength=n_owners) for chunk in chunks], dtype=np.int64
+    ).reshape(len(chunks), n_owners)
+    parts = [
+        tuple(np.empty(n, dtype=x.dtype) for x in arrays)
+        for n in counts.sum(axis=0).tolist()
+    ]
+    # where chunk c's run of owner k starts in the chunk's sorted order,
+    # and where it goes in owner k's part
+    runs = (np.cumsum(counts, axis=1) - counts).tolist()
+    dests = (np.cumsum(counts, axis=0) - counts).tolist()
+    for c, chunk in enumerate(chunks):
+        order = np.argsort(chunk, kind="stable")
+        order += c * _CHUNK
+        for part, run, dest, n in zip(parts, runs[c], dests[c], counts[c].tolist()):
+            for x, y in zip(arrays, part):
+                # the indices come from argsort: "clip" never clips
+                np.take(x, order[run : run + n], out=y[dest : dest + n], mode="clip")
+    return parts
+
+
+def _to_local(
+    ids: np.ndarray, contiguous: bool, size: int, picked: np.ndarray, ours: bool
+) -> np.ndarray:
+    """Global → local indices of one block (``picked`` ⊆ ``ids``), written
+    over ``picked`` when ``ours``."""
+    out = picked if ours else None
+    if contiguous:
+        return np.subtract(picked, ids[0], out=out) if ids[0] else picked
+    lookup = np.empty(size, dtype=np.int64)  # only entries at ids are read
+    lookup[ids] = np.arange(len(ids), dtype=np.int64)
+    return np.take(lookup, picked, out=out)
 
 
 class PartitionMethod:

@@ -81,6 +81,29 @@ class TestCompressionKernels:
         for got, want in zip(PY.coo_from_dense(dense), NP.coo_from_dense(dense)):
             assert_same_array(got, want)
 
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -2.5]]),
+            np.array([[np.nan, 0.0], [-0.0, np.nan]]),
+            np.array([[np.inf, 0.0, -np.inf], [0.0, -0.0, 3.0]]),
+            np.zeros((0, 7)),
+            np.zeros((7, 0)),
+            np.zeros((0, 0)),
+            np.arange(-6.0, 6.0).reshape(3, 4).T,  # a transposed view
+            np.asfortranarray(np.diag([1.0, -0.0, np.nan, 4.0])),
+            # many rows, so the row of each flat position is not trivial
+            np.where(np.arange(300 * 700).reshape(300, 700) % 7 == 0, 0.0, 1.5),
+        ],
+        ids=[
+            "negative-zero", "nan", "inf", "0xm", "nx0", "0x0",
+            "transposed", "fortran", "large",
+        ],
+    )
+    def test_coo_from_dense_edge_cases(self, dense):
+        for got, want in zip(PY.coo_from_dense(dense), NP.coo_from_dense(dense)):
+            assert_same_array(got, want)
+
     @given(t=coo_triples())
     @settings(max_examples=50, deadline=None)
     def test_crs_from_coo(self, t):
