@@ -16,6 +16,10 @@ The fail-stop cells run through the recovery layer (``host-resend``,
 lost blocks, and an app-level ``resilient_spmv`` rollback) and also pin
 the recovery report, the surviving roster size and a digest of the
 recovered local arrays.
+
+The redistribution cells distribute with ED onto a source partition, then
+:func:`~repro.core.redistribute` the array onto a target partition, and
+pin the whole trace with the redistribution's totals.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.apps import resilient_spmv
-from repro.core import get_compression, get_partition, get_scheme
+from repro.core import get_compression, get_partition, get_scheme, redistribute
 from repro.core.base import LOCAL_KEY
 from repro.faults import FailStopSpec, FaultInjector, FaultSpec
 from repro.machine import Machine, sp2_cost_model, trace_to_dict
+from repro.partition import BlockCyclicRowPartition
 from repro.recovery import RecoveryRuntime, run_with_recovery
 from repro.sparse import random_sparse
 
@@ -117,8 +122,27 @@ def locals_digest(locals_) -> str:
     return h.hexdigest()
 
 
+#: (source partition, target partition, compression, n, p, fault_tag);
+#: fault_tag is "clean" or "lossy".  mesh2d -> bcrow2 has a non-contiguous
+#: target, and rank 6 keeps none of its nonzeros, so it stages an empty
+#: self-message; the lossy cell pins the receive that charges no verify.
+REDISTRIBUTE_GOLDEN_CONFIGS = [
+    ("row", "mesh2d", "crs", 60, 4, "clean"),
+    ("mesh2d", "bcrow2", "crs", 40, 8, "clean"),
+    ("row", "column", "crs", 60, 4, "lossy"),
+]
+
+
 def config_key(scheme, partition, compression, n, p, fault_tag) -> str:
     return f"{scheme}-{partition}-{compression}-n{n}-p{p}-{fault_tag}"
+
+
+def redistribute_key(source, target, compression, n, p, fault_tag) -> str:
+    return f"redistribute-{source}-{target}-{compression}-n{n}-p{p}-{fault_tag}"
+
+
+def _partition(name):
+    return BlockCyclicRowPartition(2) if name == "bcrow2" else get_partition(name)
 
 
 def run_executor_config(scheme, partition, compression, n, p, fault_tag,
@@ -201,9 +225,44 @@ def entry_for(config, *, executor=None) -> dict:
     return entry
 
 
+def redistribute_entry(config, *, executor=None) -> dict:
+    """The JSON entry one redistribution cell pins."""
+    source, target, compression, n, p, fault_tag = config
+    matrix = random_sparse((n, n), 0.1, seed=2002 + n + 131 * p)
+    injector = (
+        FaultInjector(FaultSpec.lossy(0.2), seed=LOSSY_SEED)
+        if fault_tag == "lossy"
+        else None
+    )
+    machine = Machine(
+        p, cost=sp2_cost_model(), faults=injector, executor=executor
+    )
+    try:
+        old = _partition(source).plan(matrix.shape, p)
+        new = _partition(target).plan(matrix.shape, p)
+        kind = get_compression(compression)
+        get_scheme("ed").run(machine, matrix, old, kind)
+        result = redistribute(machine, old, new, kind)
+        return {
+            "t_redistribution": result.t_redistribution,
+            "messages": result.messages,
+            "elements_moved": result.elements_moved,
+            "fault_summary": machine.fault_summary(),
+            "locals_digest": locals_digest(result.locals_),
+            "trace": trace_to_dict(machine.trace),
+        }
+    finally:
+        machine.shutdown()
+
+
 def generate_fixture(*, executor=None) -> dict:
-    """All cells, keyed by :func:`config_key`."""
-    return {
+    """All cells, keyed by :func:`config_key` and :func:`redistribute_key`."""
+    fixture = {
         config_key(*config): entry_for(config, executor=executor)
         for config in EXECUTOR_GOLDEN_CONFIGS
     }
+    for config in REDISTRIBUTE_GOLDEN_CONFIGS:
+        fixture[redistribute_key(*config)] = redistribute_entry(
+            config, executor=executor
+        )
+    return fixture

@@ -17,8 +17,11 @@ import pytest
 from .golden_executors import (
     EXECUTOR_GOLDEN_CONFIGS,
     FIXTURE,
+    REDISTRIBUTE_GOLDEN_CONFIGS,
     config_key,
     entry_for,
+    redistribute_entry,
+    redistribute_key,
 )
 
 
@@ -34,7 +37,7 @@ def fixture_data():
 def test_fixture_covers_grid(fixture_data):
     assert set(fixture_data) == {
         config_key(*c) for c in EXECUTOR_GOLDEN_CONFIGS
-    }
+    } | {redistribute_key(*c) for c in REDISTRIBUTE_GOLDEN_CONFIGS}
 
 
 @pytest.mark.parametrize("executor", ["sim", "process"])
@@ -44,4 +47,14 @@ def test_fixture_covers_grid(fixture_data):
 def test_replay_matches_fixture(fixture_data, config, executor):
     expected = fixture_data[config_key(*config)]
     got = json.loads(json.dumps(entry_for(config, executor=executor)))
+    assert got == expected
+
+
+@pytest.mark.parametrize("executor", ["sim", "process"])
+@pytest.mark.parametrize(
+    "config", REDISTRIBUTE_GOLDEN_CONFIGS, ids=lambda c: redistribute_key(*c)
+)
+def test_redistribute_replay_matches_fixture(fixture_data, config, executor):
+    expected = fixture_data[redistribute_key(*config)]
+    got = json.loads(json.dumps(redistribute_entry(config, executor=executor)))
     assert got == expected
