@@ -60,7 +60,9 @@ _KERNEL_BOUNDARY = {
         "concatenate", "cumsum", "empty", "zeros",
     }),
     "src/repro/core/redistribute.py": frozenset({
-        # piece bucketing on the host before charged sends (cold path)
+        # triplet-buffer concatenation and assemble_block's decode and
+        # global -> local lookup (cold path); the owner-then-bucket split
+        # is PartitionPlan.owners + partition.base._bucket
         "any", "arange", "concatenate", "empty", "full",
     }),
     "src/repro/core/sfc.py": frozenset({

@@ -11,7 +11,12 @@ scheme's insight: each processor encodes the intersection of its current
 block with every destination block into a coordinate-pair special buffer
 (``count, (row, col, value)...`` triplets — coordinates are *global*, so no
 per-hop conversion tables are needed), sends the buffers point-to-point,
-and each destination decodes and recompresses.
+and each destination decodes and recompresses.  Splitting a block is the
+partition phase's own owner-then-bucket step: one
+:meth:`~repro.partition.base.PartitionPlan.owners` lookup per nonzero, then
+one stable bucket pass that keeps each destination's nonzeros in the
+block's order.  :func:`move_blocks` is that mover; :func:`redistribute`
+and the peer recovery of :mod:`repro.recovery` call it.
 
 Cost accounting mirrors the distribution phase: encode/decode are one op
 per written element plus one scan op per stored nonzero examined; each
@@ -27,88 +32,27 @@ hosts are uninvolved).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Type
+from typing import Iterable, Type
 
 import numpy as np
 
-from ..machine.machine import Machine
+from ..machine.machine import HOST, Machine
 from ..machine.trace import Phase
-from ..partition.base import BlockAssignment, PartitionPlan
+from ..partition.base import BlockAssignment, PartitionPlan, _bucket
 from ..sparse.coo import COOMatrix
 from .base import LOCAL_KEY, CompressedLocal, compression_kind
 
 __all__ = [
     "RedistributionResult",
+    "Source",
     "assemble_block",
-    "local_to_global_coo",
-    "ownership_maps",
+    "move_blocks",
     "redistribute",
-    "triplet_buffer",
 ]
 
-
-def local_to_global_coo(
-    local: COOMatrix, assignment: BlockAssignment
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lift a local compressed block's coordinates to global indices."""
-    return (
-        assignment.row_ids[local.rows],
-        assignment.col_ids[local.cols],
-        local.values,
-    )
-
-
-def ownership_maps(plan: PartitionPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row_owner_component, col_owner_component) lookup tables.
-
-    ``owner = row_component[r] , col_component[c]`` — a processor owns the
-    cell iff both components match its block.  For the cross-product plans
-    this package produces, each global row belongs to exactly one row-block
-    id and each column to one column-block id; a processor is addressed by
-    the pair.
-    """
-    n_rows, n_cols = plan.global_shape
-    row_comp = np.full(n_rows, -1, dtype=np.int64)
-    col_comp = np.full(n_cols, -1, dtype=np.int64)
-    # assign component ids by scanning assignments; processors sharing the
-    # same row set get the same row component id (mesh partitions).
-    row_sets: dict[bytes, int] = {}
-    col_sets: dict[bytes, int] = {}
-    proc_components = []
-    for a in plan:
-        rkey = a.row_ids.tobytes()
-        ckey = a.col_ids.tobytes()
-        if rkey not in row_sets:
-            row_sets[rkey] = len(row_sets)
-            row_comp[a.row_ids] = row_sets[rkey]
-        if ckey not in col_sets:
-            col_sets[ckey] = len(col_sets)
-            col_comp[a.col_ids] = col_sets[ckey]
-        proc_components.append((row_sets[rkey], col_sets[ckey]))
-    # map component pair -> rank
-    pair_to_rank = {pair: rank for rank, pair in enumerate(proc_components)}
-    n_col_comps = len(col_sets)
-    owner_of_pair = np.full(len(row_sets) * n_col_comps, -1, dtype=np.int64)
-    for (ri, ci), rank in pair_to_rank.items():
-        owner_of_pair[ri * n_col_comps + ci] = rank
-    return row_comp * n_col_comps, col_comp, owner_of_pair
-
-
-def triplet_buffer(
-    g_rows: np.ndarray, g_cols: np.ndarray, values: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Encode the masked nonzeros as one flat ``rows|cols|values`` buffer.
-
-    The ED-style coordinate-pair wire format of this module: coordinates
-    are *global*, so the receiver needs no per-hop conversion tables.
-    """
-    return np.concatenate(
-        [
-            g_rows[mask].astype(np.float64),
-            g_cols[mask].astype(np.float64),
-            values[mask],
-        ]
-    )
+#: where one old-plan block is now: its sender (a rank of the roster the
+#: machine addresses, or ``HOST`` for a host-side replica) and the block
+Source = tuple[int, CompressedLocal]
 
 
 def assemble_block(
@@ -120,10 +64,9 @@ def assemble_block(
 ) -> CompressedLocal:
     """Decode triplet buffers into this rank's compressed local block.
 
-    Shared by :func:`redistribute` and the peer-redistribution recovery
-    policy (src/repro/recovery/): decodes every buffer, converts global →
-    local coordinates, recompresses, charges the ops to the DISTRIBUTION
-    phase and stores the result under ``LOCAL_KEY``.
+    The receiving end of :func:`move_blocks`: decodes every buffer,
+    converts global → local coordinates, recompresses, charges the ops to
+    the DISTRIBUTION phase and stores the result under ``LOCAL_KEY``.
     """
     rows_parts, cols_parts, vals_parts = [], [], []
     decode_ops = 0
@@ -173,6 +116,94 @@ class RedistributionResult:
     elements_moved: int
 
 
+def move_blocks(
+    machine: Machine,
+    old_plan: PartitionPlan,
+    new_plan: PartitionPlan,
+    compression: Type[CompressedLocal],
+    sources: Iterable[Source],
+    *,
+    scan_label: str,
+    encode_label: str,
+    tag: str,
+    phase: Phase,
+    stage_empty_self: bool,
+    charge_verify: bool,
+) -> tuple[list[CompressedLocal], int, int]:
+    """Move ``old_plan``'s blocks onto ``new_plan``'s; returns the new
+    locals, the messages sent and the elements they carried.
+
+    ``sources`` gives each old block's :data:`Source`, in old-plan order;
+    it is read one block at a time, as that block is moved.  Per block the
+    sender pays one ``scan_label`` op per stored nonzero (the owner
+    lookup), then for each destination in ascending order three
+    ``encode_label`` ops per forwarded nonzero and the message — a buffer
+    for the sender itself is staged locally, at no wire cost.  With
+    ``stage_empty_self`` the sender stages its own buffer even when it is
+    empty.  Each destination then drains its ``tag`` messages — verifying
+    their checksums at a charge in ``phase`` when ``charge_verify`` — and
+    :func:`assemble_block` decodes them.
+    """
+    compression_kind(compression)  # an unknown compression fails up front
+    if old_plan.global_shape != new_plan.global_shape:
+        raise ValueError(
+            f"plans cover different arrays: {old_plan.global_shape} vs "
+            f"{new_plan.global_shape}"
+        )
+
+    def charge(sender: int, n_ops: int, label: str) -> None:
+        if sender == HOST:
+            machine.charge_host_ops(n_ops, phase, label=label)
+        else:
+            machine.charge_proc_ops(sender, n_ops, phase, label=label)
+
+    messages = elements = 0
+    staged: list[list[np.ndarray]] = [[] for _ in new_plan]
+    for assignment, (sender, block) in zip(old_plan, sources):
+        if block.shape != assignment.local_shape:
+            raise ValueError(
+                f"old rank {assignment.rank}: block shape {block.shape} does "
+                f"not match the plan {assignment.local_shape}"
+            )
+        local = block.to_coo()
+        g_rows = assignment.row_ids[local.rows]
+        g_cols = assignment.col_ids[local.cols]
+        owners = new_plan.owners(g_rows, g_cols)
+        charge(sender, block.nnz, scan_label)
+        parts = _bucket(owners, new_plan.n_procs, (g_rows, g_cols, local.values))
+        for dst, (rows, cols, values) in enumerate(parts):
+            if not len(values) and not (stage_empty_self and dst == sender):
+                continue
+            buffer = np.concatenate(
+                [rows.astype(np.float64), cols.astype(np.float64), values]
+            )
+            charge(sender, 3 * len(values), encode_label)
+            if dst == sender:
+                staged[dst].append(buffer)  # stays local
+            else:
+                machine.send(dst, buffer, len(buffer), phase, src=sender, tag=tag)
+                messages += 1
+                elements += len(buffer)
+
+    locals_: list[CompressedLocal] = []
+    for assignment in new_plan:
+        pieces = staged[assignment.rank]
+        while True:
+            try:
+                message = machine.receive(
+                    assignment.rank, tag, phase=phase if charge_verify else None
+                )
+            except LookupError:
+                break
+            pieces.append(message.payload)
+        locals_.append(
+            assemble_block(
+                machine, assignment, pieces, new_plan.global_shape, compression
+            )
+        )
+    return locals_, messages, elements
+
+
 def redistribute(
     machine: Machine,
     old_plan: PartitionPlan,
@@ -188,79 +219,20 @@ def redistribute(
     """
     if old_plan.n_procs != machine.n_procs or new_plan.n_procs != machine.n_procs:
         raise ValueError("both plans must match the machine's processor count")
-    if old_plan.global_shape != new_plan.global_shape:
-        raise ValueError(
-            f"plans cover different arrays: {old_plan.global_shape} vs "
-            f"{new_plan.global_shape}"
-        )
-    kind = compression_kind(compression)
-    row_key, col_comp, owner_of_pair = ownership_maps(new_plan)
-
-    # -- each source processor splits its block by destination ------------
-    n_messages = 0
-    elements_moved = 0
-    staged: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(machine.n_procs)]
-    for assignment in old_plan:
-        proc = machine.processor(assignment.rank)
-        local = proc.load(LOCAL_KEY)
-        if local.shape != assignment.local_shape:
-            raise ValueError(
-                f"rank {assignment.rank}: stored local shape {local.shape} "
-                f"does not match old plan {assignment.local_shape}"
-            )
-        g_rows, g_cols, values = local_to_global_coo(local.to_coo(), assignment)
-        owners = owner_of_pair[row_key[g_rows] + col_comp[g_cols]]
-        # encode one triplet buffer per destination: scan each stored
-        # nonzero once (owner lookup) + 3 writes per forwarded nonzero
-        machine.charge_proc_ops(
-            assignment.rank, local.nnz, Phase.DISTRIBUTION, label="split-scan"
-        )
-        for dst in range(machine.n_procs):
-            mask = owners == dst
-            count = int(mask.sum())
-            if count == 0 and dst != assignment.rank:
-                continue
-            buffer = triplet_buffer(g_rows, g_cols, values, mask)
-            machine.charge_proc_ops(
-                assignment.rank, 3 * count, Phase.DISTRIBUTION, label="encode"
-            )
-            if dst == assignment.rank:
-                staged[dst].append((assignment.rank, buffer))  # stays local
-            else:
-                machine.send(
-                    dst,
-                    buffer,
-                    len(buffer),
-                    Phase.DISTRIBUTION,
-                    src=assignment.rank,
-                    tag="redistribute",
-                )
-                n_messages += 1
-                elements_moved += len(buffer)
-
-    # -- each destination assembles and recompresses ----------------------
-    locals_: list[CompressedLocal] = []
-    for assignment in new_plan:
-        pieces = [buf for _, buf in staged[assignment.rank]]
-        while True:
-            try:
-                pieces.append(
-                    machine.receive(assignment.rank, "redistribute").payload
-                )
-            except LookupError:
-                break
-        locals_.append(
-            assemble_block(
-                machine, assignment, pieces, new_plan.global_shape, compression
-            )
-        )
-
+    sources = (
+        (a.rank, machine.processor(a.rank).load(LOCAL_KEY)) for a in old_plan
+    )
+    locals_, messages, elements = move_blocks(
+        machine, old_plan, new_plan, compression, sources,
+        scan_label="split-scan", encode_label="encode", tag="redistribute",
+        phase=Phase.DISTRIBUTION, stage_empty_self=True, charge_verify=False,
+    )
     return RedistributionResult(
         source=old_plan.method,
         destination=new_plan.method,
         n_procs=machine.n_procs,
         t_redistribution=machine.trace.elapsed(Phase.DISTRIBUTION),
         locals_=tuple(locals_),
-        messages=n_messages,
-        elements_moved=elements_moved,
+        messages=messages,
+        elements_moved=elements,
     )

@@ -222,53 +222,64 @@ class PartitionPlan:
         owner)``, where ``owner[i]`` indexes ``ranks`` (``None`` when the
         band has one rank).
 
-        Ranks that share a row set form a row band.  When the row bands are
-        disjoint (every method in this package), the ranks of a band split
-        the columns, so an owner is a table lookup; and when each band's
-        rows are contiguous, the band is a ``searchsorted`` slice of the
-        canonical COO.  Otherwise all nonzeros form one band, whose owners
-        come from a row-band × column table or, for a plan that is not a
-        row-band × column grid, rank by rank.
+        When the row bands are disjoint and each is contiguous (row,
+        column, mesh2d, bisection), a band is a ``searchsorted`` slice of
+        the canonical COO and its ranks split the columns through a
+        table.  Otherwise all nonzeros form one band over every rank, with
+        their owners from :meth:`owners`.
+        """
+        bands = self._row_bands()
+        nonzeros = (matrix.rows, matrix.cols, matrix.values)
+        disjoint = sum(len(band[0].row_ids) for band in bands) == self.global_shape[0]
+        if not (disjoint and all(band[0].rows_contiguous for band in bands)):
+            yield list(self.assignments), nonzeros, self.owners(matrix.rows, matrix.cols)
+            return
+        owner_type = np.min_scalar_type(sum(map(len, bands)))
+        for ranks in bands:
+            ids = ranks[0].row_ids
+            lo, hi = np.searchsorted(matrix.rows, (ids[0], ids[-1] + 1))
+            arrays = tuple(x[lo:hi] for x in nonzeros)
+            split: Optional[np.ndarray] = None
+            if len(ranks) > 1:
+                table = np.empty(self.global_shape[1], dtype=owner_type)
+                for k, a in enumerate(ranks):
+                    table[a.col_ids] = k
+                split = table[arrays[1]]
+            yield ranks, arrays, split
+
+    def owners(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The rank that owns each global cell ``(rows[i], cols[i])``.
+
+        When the row bands (ranks that share a row set) are disjoint —
+        every method in this package — this is one row-band × column table
+        lookup; a plan that is not such a grid is looked up rank by rank.
         """
         n_rows, n_cols = self.global_shape
-        live = [a for a in self.assignments if len(a.row_ids) and len(a.col_ids)]
-        by_rows: dict[bytes, list[BlockAssignment]] = {}
-        for a in live:
-            by_rows.setdefault(a.row_ids.tobytes(), []).append(a)
-        bands = list(by_rows.values())
-        nonzeros = (matrix.rows, matrix.cols, matrix.values)
-        owner_type = np.min_scalar_type(len(live))
+        bands = self._row_bands()
+        owner_type = np.min_scalar_type(self.n_procs)
         if sum(len(band[0].row_ids) for band in bands) != n_rows:
-            owner = np.empty(matrix.nnz, dtype=owner_type)
-            for k, a in enumerate(live):
+            owner = np.empty(len(rows), dtype=owner_type)
+            for a in self.assignments:
                 in_rows = np.zeros(n_rows, dtype=bool)
                 in_cols = np.zeros(n_cols, dtype=bool)
                 in_rows[a.row_ids] = in_cols[a.col_ids] = True
-                owner[in_rows[matrix.rows] & in_cols[matrix.cols]] = k
-            yield live, nonzeros, owner
-        elif all(band[0].rows_contiguous for band in bands):
-            for ranks in bands:
-                ids = ranks[0].row_ids
-                lo, hi = np.searchsorted(matrix.rows, (ids[0], ids[-1] + 1))
-                arrays = tuple(x[lo:hi] for x in nonzeros)
-                split: Optional[np.ndarray] = None
-                if len(ranks) > 1:
-                    table = np.empty(n_cols, dtype=owner_type)
-                    for k, a in enumerate(ranks):
-                        table[a.col_ids] = k
-                    split = table[arrays[1]]
-                yield ranks, arrays, split
-        else:
-            band_of = np.empty(n_rows, dtype=np.intp)
-            table = np.empty((len(bands), n_cols), dtype=owner_type)
-            ranks = []
-            for b, band in enumerate(bands):
-                band_of[band[0].row_ids] = b
-                for a in band:
-                    table[b, a.col_ids] = len(ranks)
-                    ranks.append(a)
-            owner = table[band_of[matrix.rows], matrix.cols]
-            yield ranks, nonzeros, owner if len(ranks) > 1 else None
+                owner[in_rows[rows] & in_cols[cols]] = a.rank
+            return owner
+        band_of = np.empty(n_rows, dtype=np.intp)
+        table = np.empty((len(bands), n_cols), dtype=owner_type)
+        for b, band in enumerate(bands):
+            band_of[band[0].row_ids] = b
+            for a in band:
+                table[b, a.col_ids] = a.rank
+        return table[band_of[rows], cols]
+
+    def _row_bands(self) -> list[list[BlockAssignment]]:
+        """The non-empty blocks grouped by row set, in rank order."""
+        by_rows: dict[bytes, list[BlockAssignment]] = {}
+        for a in self.assignments:
+            if len(a.row_ids) and len(a.col_ids):
+                by_rows.setdefault(a.row_ids.tobytes(), []).append(a)
+        return list(by_rows.values())
 
 
 #: one band of :meth:`PartitionPlan._bands`: its ranks, its nonzeros'
@@ -317,7 +328,7 @@ def _to_local(
     over ``picked`` when ``ours``."""
     out = picked if ours else None
     if contiguous:
-        return np.subtract(picked, ids[0], out=out) if ids[0] else picked
+        return np.subtract(picked, ids[0], out=out) if len(ids) and ids[0] else picked
     lookup = np.empty(size, dtype=np.int64)  # only entries at ids are read
     lookup[ids] = np.arange(len(ids), dtype=np.int64)
     return np.take(lookup, picked, out=out)

@@ -51,12 +51,7 @@ from ..core.base import (
     SchemeResult,
     compression_kind,
 )
-from ..core.redistribute import (
-    assemble_block,
-    local_to_global_coo,
-    ownership_maps,
-    triplet_buffer,
-)
+from ..core.redistribute import Source, move_blocks
 from ..core.registry import get_compression, get_partition, get_scheme
 from ..machine.machine import HOST, DeadRankError, Machine
 from ..machine.trace import Phase
@@ -74,11 +69,6 @@ __all__ = [
 
 #: the scheme-level recovery policies run_with_recovery understands
 POLICIES = ("host-resend", "peer-redistribute")
-
-#: a block source for peer redistribution: held by a live processor
-#: (``("proc", rank)``, a rank of the survivor roster) or replicated at
-#: the host (``("host", compressed_block)``)
-Source = tuple[str, object]
 
 _PHASES = (Phase.DISTRIBUTION, Phase.COMPRESSION, Phase.COMPUTE)
 
@@ -153,15 +143,15 @@ def peer_redistribute(
     """Move ``old_plan`` blocks onto the survivors' ``new_plan`` blocks.
 
     ``machine`` addresses the survivor roster ``new_plan`` covers.
-    ``sources[old_rank]`` says where that block's data lives right now:
-    ``("proc", rank)`` — on live processor ``rank`` of that roster (sent
-    point-to-point, ED-style triplet buffers); ``("host", block)`` — as a
-    host-side replica (ghost state or checkpoint; the host sends it).
+    ``sources[old_rank]`` is that block's :data:`~repro.core.redistribute.Source`:
+    ``(rank, block)`` for a block on live processor ``rank`` of that roster
+    (sent point-to-point, ED-style triplet buffers), ``(HOST, block)`` for
+    a host-side replica (ghost state or checkpoint; the host sends it).
 
-    Charges mirror :func:`repro.core.redistribute.redistribute`: one scan
-    op per stored nonzero, three encode ops per forwarded nonzero, the
-    full message cost per buffer, and decode/recompress at the receiver
-    (via :func:`~repro.core.redistribute.assemble_block`).
+    The move is :func:`repro.core.redistribute.move_blocks`, charged as
+    ``recover-scan``/``recover-encode`` ops and ``recover`` messages in
+    ``phase``, with each receive's checksum verification charged there
+    too.
 
     Raises :class:`DeadRankError` if a rank dies mid-move — the caller
     retries on the shrunken roster, sourcing from checkpoints only.
@@ -172,89 +162,13 @@ def peer_redistribute(
         old_p=old_plan.n_procs,
         new_p=new_plan.n_procs,
     ):
-        return _peer_redistribute_impl(
+        return move_blocks(
             machine, old_plan, new_plan, compression,
-            sources=sources, phase=phase,
-        )
-
-
-def _peer_redistribute_impl(
-    machine: Machine,
-    old_plan: PartitionPlan,
-    new_plan: PartitionPlan,
-    compression: Type[CompressedLocal],
-    *,
-    sources: dict[int, Source],
-    phase: Phase,
-) -> list[CompressedLocal]:
-    """The data-movement body behind :func:`peer_redistribute`."""
-    if old_plan.global_shape != new_plan.global_shape:
-        raise ValueError(
-            f"plans cover different arrays: {old_plan.global_shape} vs "
-            f"{new_plan.global_shape}"
-        )
-    row_key, col_comp, owner_of_pair = ownership_maps(new_plan)
-    staged: list[list] = [[] for _ in range(new_plan.n_procs)]
-
-    for assignment in old_plan:
-        src_kind, src_val = sources[assignment.rank]
-        if src_kind == "proc":
-            comp = machine.processor(src_val).load(LOCAL_KEY)
-        elif src_kind == "host":
-            comp = src_val
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown source kind {src_kind!r}")
-        if comp.shape != assignment.local_shape:
-            raise ValueError(
-                f"old rank {assignment.rank}: block shape {comp.shape} does "
-                f"not match the plan {assignment.local_shape}"
-            )
-        g_rows, g_cols, values = local_to_global_coo(comp.to_coo(), assignment)
-        owners = owner_of_pair[row_key[g_rows] + col_comp[g_cols]]
-        # one owner-lookup scan per stored nonzero
-        if src_kind == "proc":
-            machine.charge_proc_ops(src_val, comp.nnz, phase, label="recover-scan")
-        else:
-            machine.charge_host_ops(comp.nnz, phase, label="recover-scan")
-        for dst in range(new_plan.n_procs):
-            mask = owners == dst
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            buffer = triplet_buffer(g_rows, g_cols, values, mask)
-            if src_kind == "proc":
-                machine.charge_proc_ops(
-                    src_val, 3 * count, phase, label="recover-encode"
-                )
-                if src_val == dst:
-                    staged[dst].append(buffer)  # stays local, no wire cost
-                else:
-                    machine.send(
-                        dst, buffer, len(buffer), phase,
-                        src=src_val, tag="recover",
-                    )
-            else:
-                machine.charge_host_ops(3 * count, phase, label="recover-encode")
-                machine.send(
-                    dst, buffer, len(buffer), phase, src=HOST, tag="recover"
-                )
-
-    locals_: list[CompressedLocal] = []
-    for assignment in new_plan:
-        pieces = list(staged[assignment.rank])
-        while True:
-            try:
-                pieces.append(
-                    machine.receive(assignment.rank, "recover", phase=phase).payload
-                )
-            except LookupError:
-                break
-        locals_.append(
-            assemble_block(
-                machine, assignment, pieces, new_plan.global_shape, compression
-            )
-        )
-    return locals_
+            (sources[a.rank] for a in old_plan),
+            scan_label="recover-scan", encode_label="recover-encode",
+            tag="recover", phase=phase, stage_empty_self=False,
+            charge_verify=True,
+        )[0]
 
 
 # ----------------------------------------------------------------------
@@ -392,13 +306,14 @@ def _run_peer(
         machine.remap(survivors)
         new_plan = partition.plan(global_matrix.shape, machine.n_procs)
         blocks = machine.host_memory[CHECKPOINT_KEY]["blocks"]
-        sources: dict[int, Source] = {}
-        for a in old_plan:
-            if not from_checkpoints_only and machine.membership.is_alive(a.rank):
-                sources[a.rank] = ("proc", survivors.index(a.rank))
-            else:
-                sources[a.rank] = ("host", blocks[a.rank])
         try:
+            sources: dict[int, Source] = {}
+            for a in old_plan:
+                if not from_checkpoints_only and machine.membership.is_alive(a.rank):
+                    rank = survivors.index(a.rank)
+                    sources[a.rank] = (rank, machine.processor(rank).load(LOCAL_KEY))
+                else:
+                    sources[a.rank] = (HOST, blocks[a.rank])
             locals_ = peer_redistribute(
                 machine, old_plan, new_plan, compression,
                 sources=sources, phase=Phase.DISTRIBUTION,
@@ -501,7 +416,7 @@ class RecoveryRuntime:
                 if ckpt is None:  # pragma: no cover - defensive
                     raise RuntimeError("no checkpoint to recover from")
                 sources: dict[int, Source] = {
-                    a.rank: ("host", ckpt["blocks"][a.rank])
+                    a.rank: (HOST, ckpt["blocks"][a.rank])
                     for a in ckpt["plan"]
                 }
                 try:

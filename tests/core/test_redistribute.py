@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import LOCAL_KEY, get_compression, get_scheme, redistribute
-from repro.machine import Machine, Phase, unit_cost_model
+from repro.machine import HOST, Machine, Phase, unit_cost_model
 from repro.partition import (
     BinPackingRowPartition,
     BlockCyclicRowPartition,
@@ -12,7 +12,10 @@ from repro.partition import (
     Mesh2DPartition,
     RowPartition,
 )
+from repro.recovery import peer_redistribute
 from repro.sparse import random_sparse
+
+from ..partition.test_extract_all import HAND_BUILT
 
 
 def distribute(matrix, plan, compression="crs"):
@@ -84,6 +87,29 @@ class TestCorrectness:
         machine = distribute(medium_matrix, old, "crs")
         result = redistribute(machine, old, new, get_compression("ccs"))
         assert_matches_direct(result, medium_matrix, new, "ccs")
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_onto_hand_built_plans(self, name, density):
+        """Targets that are not a uniform grid keep every nonzero."""
+        new = HAND_BUILT[name]
+        matrix = random_sparse(new.global_shape, density, seed=5)
+        old = RowPartition().plan(matrix.shape, new.n_procs)
+        machine = distribute(matrix, old)
+        result = redistribute(machine, old, new, get_compression("crs"))
+        assert_matches_direct(result, matrix, new)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_peer_from_host_onto_hand_built_plans(self, name, density):
+        new = HAND_BUILT[name]
+        matrix = random_sparse(new.global_shape, density, seed=5)
+        old = RowPartition().plan(matrix.shape, 3)
+        crs = get_compression("crs")
+        sources = {a.rank: (HOST, crs.from_coo(a.extract_local(matrix))) for a in old}
+        machine = Machine(new.n_procs, cost=unit_cost_model())
+        locals_ = peer_redistribute(machine, old, new, crs, sources=sources)
+        assert locals_ == [crs.from_coo(a.extract_local(matrix)) for a in new]
 
     def test_empty_matrix(self):
         empty = random_sparse((12, 12), 0.0, seed=0)

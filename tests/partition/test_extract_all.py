@@ -6,7 +6,8 @@
 byte — shape, dtype, rows, cols and values — for every partition method,
 for empty blocks (``p > n``), zero-nnz arrays, ``n×1`` and ``1×m`` arrays,
 and for hand-built plans that are not a row-block × column-block grid or
-list their ids out of order.
+list their ids out of order.  ``PartitionPlan.owners`` must name, for each
+nonzero, the rank whose ``extract_local`` block holds it.
 """
 
 from unittest import mock
@@ -58,8 +59,14 @@ def assert_same(got: COOMatrix, want: COOMatrix) -> None:
 def assert_matches_oracle(plan: PartitionPlan, matrix: COOMatrix) -> None:
     got = plan.extract_all(matrix)
     assert len(got) == plan.n_procs
+    holder = np.full(plan.global_shape, -1)
     for a, local in zip(plan, got):
-        assert_same(local, a.extract_local(matrix))
+        want = a.extract_local(matrix)
+        assert_same(local, want)
+        holder[a.row_ids[want.rows], a.col_ids[want.cols]] = a.rank
+    # the owner lookup names the rank whose block holds each nonzero
+    owners = plan.owners(matrix.rows, matrix.cols)
+    assert np.array_equal(owners, holder[matrix.rows, matrix.cols])
 
 
 @given(
