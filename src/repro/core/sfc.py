@@ -72,7 +72,9 @@ class SFCScheme(DistributionScheme):
         # host peak memory: the dense blocks are allocated before the
         # partition phase's smaller arrays, so they take the memory the
         # last run's blocks freed rather than holes the small arrays split,
-        # and each block, sparse or dense, is let go once it is sent
+        # and each dense block is let go once it is sent (a sparse block
+        # lives on while its plan keeps its extraction, as a warm
+        # session's plans do)
         blocks = deque(np.zeros(a.local_shape) for a in plan)
         # -- phase 1: partition (untimed, per Section 4: "we do not
         # consider the data partition time") --------------------------------

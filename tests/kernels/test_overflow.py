@@ -9,10 +9,11 @@ wrapped on unpack; now both directions raise.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.encoded_buffer import EncodedBuffer
 from repro.core.index_conversion import ConversionSpec
-from repro.kernels import use_backend
+from repro.kernels import get_backend, use_backend
 from repro.machine.packing import MAX_EXACT_INT, PackedBuffer
 from repro.sparse import COOMatrix
 
@@ -171,3 +172,84 @@ class TestEncodedBufferHardening:
         np.testing.assert_array_equal(coo.rows, m.rows)
         np.testing.assert_array_equal(coo.cols, m.cols)
         np.testing.assert_array_equal(coo.values, m.values)
+
+
+#: what a corrupted count becomes (``None`` keeps the buffer valid)
+_BAD_COUNTS = [
+    None, -1.0, -3.0, -0.0, 0.5, 2.25, 1e-320, float("nan"), float("inf"),
+    float("-inf"), 1e20, 2.0**63, 1e300,
+]
+
+
+def _decode_outcome(backend, data, n_seg):
+    """What ``ed_decode_counts`` returns, or the exception it raises."""
+    try:
+        counts, starts = get_backend(backend).ed_decode_counts(data, n_seg)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), str(exc))
+    return ("decoded", counts.dtype, counts.tolist(), starts.dtype, starts.tolist())
+
+
+class TestCorruptCountsDifferential:
+    """The numpy walk steps without checks and checks afterwards; on any
+    buffer, valid or corrupt, it must return exactly what the python
+    oracle returns or raise the identical exception and message."""
+
+    @given(
+        counts=st.lists(st.integers(0, 4), max_size=25),
+        bad=st.sampled_from(_BAD_COUNTS),
+        where=st.integers(0, 1000),
+        shape=st.sampled_from(["as-is", "truncated", "extra", "fewer", "more"]),
+        cut=st.integers(1, 6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_numpy_walk_matches_oracle(self, counts, bad, where, shape, cut):
+        n_seg = len(counts)
+        nnz = sum(counts)
+        rng = np.random.default_rng(where)
+        data = get_backend("python").ed_encode(
+            n_seg, counts, np.repeat(np.arange(n_seg), counts),
+            rng.integers(0, 50, nnz).astype(np.float64), rng.random(nnz),
+        )
+        if bad is not None and n_seg:
+            seg = where % n_seg
+            data[seg + 2 * sum(counts[:seg])] = bad  # that segment's R_i
+        if shape == "truncated":
+            data = data[: max(len(data) - cut, 0)].copy()
+        elif shape == "extra":
+            data = np.append(data, float(cut))
+        n_walk = {"fewer": max(n_seg - 1, 0), "more": n_seg + 1}.get(shape, n_seg)
+        assert _decode_outcome("numpy", data, n_walk) == _decode_outcome(
+            "python", data, n_walk
+        )
+
+    def test_exact_messages(self):
+        """Each fault's message, from either backend."""
+        data = get_backend("python").ed_encode(
+            2, [1, 0], np.array([0]), np.array([3.0]), np.array([0.5])
+        )  # [R_0=1, C, V, R_1=0]
+        cases = {
+            bad: f"segment 0 count {np.float64(bad)!r} is not a non-negative integer"
+            for bad in (-1.0, 0.5)
+        }
+        cases[9.0] = "walked past the end at segment 1"
+        for backend in BACKENDS:
+            for bad, message in cases.items():
+                corrupt = data.copy()
+                corrupt[0] = bad
+                with pytest.raises(ValueError) as caught:
+                    get_backend(backend).ed_decode_counts(corrupt, 2)
+                assert str(caught.value) == f"corrupt encoded buffer: {message}"
+            with pytest.raises(ValueError, match="walked 4 of 5 elements"):
+                get_backend(backend).ed_decode_counts(np.append(data, 0.0), 2)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_fault_wins(self, backend):
+        """Faults the unchecked walk would miss or meet out of order."""
+        # R_1 = -2 steps back onto R_2 = 2, which lands on the end
+        backward = np.array([2.0, 0.0, 2.0, 0.0, 0.0, -2.0, 0.0])
+        with pytest.raises(ValueError, match="segment 1 count .*-2.0"):
+            get_backend(backend).ed_decode_counts(backward, 3)
+        # a fractional R_0 comes before the infinite R_1 its step lands on
+        with pytest.raises(ValueError, match="segment 0 count .*0.5"):
+            get_backend(backend).ed_decode_counts(np.array([0.5, np.inf]), 2)

@@ -8,8 +8,14 @@ for empty blocks (``p > n``), zero-nnz arrays, ``n×1`` and ``1×m`` arrays,
 and for hand-built plans that are not a row-block × column-block grid or
 list their ids out of order.  ``PartitionPlan.owners`` must name, for each
 nonzero, the rank whose ``extract_local`` block holds it.
+
+A plan keeps its last extraction for the matrix object it came from; the
+memo is not part of the plan's value and never outlives that matrix.
 """
 
+import copy
+import gc
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -169,3 +175,53 @@ def test_extract_all_rejects_a_wrong_shape():
     plan = RowPartition().plan((4, 4), 2)
     with pytest.raises(ValueError, match="plan shape"):
         plan.extract_all(random_sparse((4, 5), 0.5, seed=1))
+
+
+def test_extraction_is_kept_for_the_same_matrix_object_only():
+    plan = Mesh2DPartition().plan((30, 30), 4)
+    matrix = random_sparse((30, 30), 0.2, seed=5)
+    first = plan.extract_all(matrix)
+    assert all(a is b for a, b in zip(first, plan.extract_all(matrix)))
+    # an equal matrix is another object: extracted afresh, to equal locals
+    twin = COOMatrix(matrix.shape, matrix.rows, matrix.cols, matrix.values)
+    again = plan.extract_all(twin)
+    for a, b in zip(first, again):
+        assert a is not b
+        assert_same(a, b)
+    # the memo now follows the twin; the list handed out is the caller's
+    again.clear()
+    assert [x.nnz for x in plan.extract_all(twin)] == [x.nnz for x in first]
+
+
+def test_extraction_is_let_go_with_its_matrix():
+    plan = ColumnPartition().plan((40, 40), 4)
+    matrix = random_sparse((40, 40), 0.2, seed=6)
+    local = plan.extract_all(matrix)[1]
+    del matrix
+    gc.collect()
+    assert plan._extracted is None
+    assert local.nnz  # the caller's locals stay valid
+
+
+@pytest.mark.parametrize("make", METHODS)
+def test_extracted_plan_pickles_copies_and_compares_without_its_memo(make):
+    matrix = random_sparse((24, 18), 0.3, seed=7)
+    plan = make(matrix).plan(matrix.shape, 5)
+    first = plan.extract_all(matrix)
+    for twin in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan), copy.copy(plan)):
+        assert twin is not plan
+        assert twin == plan
+        assert twin._extracted is None
+        for a, b in zip(first, twin.extract_all(matrix)):
+            assert a is not b
+            assert_same(a, b)
+    assert plan._extracted is not None
+
+
+def test_plans_compare_by_ownership():
+    halves = _plan((4, 2), [([0, 1], [0, 1]), ([2, 3], [0, 1])])
+    assert halves == _plan((4, 2), [([0, 1], [0, 1]), ([2, 3], [0, 1])])
+    assert halves != _plan((4, 2), [([0], [0, 1]), ([1, 2, 3], [0, 1])])
+    assert halves != _plan((4, 2), [([1, 0], [0, 1]), ([2, 3], [0, 1])])
+    assert halves != _plan((4, 2), [([0, 1], [1, 0]), ([2, 3], [0, 1])])
+    assert halves.assignments[0] != "not an assignment"
