@@ -1,38 +1,30 @@
 #!/usr/bin/env python
-"""Wall-clock scaling of the rank-per-process executor vs the simulator.
+"""Real task concurrency of the rank-per-process executor, and its price.
 
-Two kinds of cells, both timing the *same work* on both executors (the
-simulated results are byte-identical by the differential battery — this
-file only measures wall-clock):
+The process tier is kept for fault isolation, not speed: rank tasks are
+too small a share of a run for real processes to beat the inline
+simulator on CPU-bound work.  This file measures what the tier does
+guarantee (the simulated results are byte-identical by the differential
+battery — only wall-clock is measured here):
 
 * ``overlap-p{4,16}`` — every rank runs a fixed ``exec.sleep`` task.
   The inline simulator executes rank tasks serially (p·t seconds); the
   process executor runs one OS process per rank, so the sleeps overlap
-  (≈t seconds).  The speedup is a direct measurement of *real task
-  concurrency*, independent of how many CPU cores the host has — the
-  cell that proves rank tasks genuinely execute in parallel.
-* ``spmv-n2000-p{4,16}`` — repeated ``y = A·x`` against distributed
-  compressed locals (n=2000, s=0.1, the paper-scale workload).  This is
-  CPU-bound numpy work: its speedup tracks physical cores.  On a
-  multi-core host p=4 exceeds 1.8×; on a single-core host the process
-  executor can only add IPC overhead, so the report records the host's
-  ``cores`` and ``check_regression.py`` arms the CPU-bound gate only
-  when the run had ≥2 cores to scale onto (the overlap gate is
-  unconditional).
+  (≈t seconds).  The ratio is a direct measurement of *real task
+  concurrency*, independent of how many CPU cores the host has.
 
-A third cell kind prices the supervision layer itself:
+A second cell kind prices the supervision layer itself:
 
 * ``supervised-p4`` — the p=4 overlap workload again, bare process
   executor vs the same session wrapped in a default-spec
   ``SupervisedSession``.  Supervision adds per-dispatch bookkeeping and
-  a ``connection.wait`` on (pipe, sentinel) instead of a blocking
-  ``recv`` — the cell records ``overhead`` = t_supervised/t_bare − 1,
-  and ``check_regression.py --parallel`` fails if it exceeds 5%.
+  deadline-bounded socket I/O — the cell records ``overhead`` =
+  t_supervised/t_bare − 1, and ``check_regression.py --parallel`` fails
+  if it exceeds 5%.
 
 Usage::
 
-    python benchmarks/perf/bench_parallel.py            # full grid
-    python benchmarks/perf/bench_parallel.py --quick    # overlap cells only
+    python benchmarks/perf/bench_parallel.py
     python benchmarks/perf/bench_parallel.py --out /tmp/fresh.json
 
 The committed baseline is ``benchmarks/perf/BENCH_parallel.json``;
@@ -59,7 +51,6 @@ PROCS = (4, 16)
 #: per-rank sleep for the overlap cells — long enough to swamp dispatch
 #: overhead (a task round-trip is <1 ms), short enough for CI
 SLEEP_S = 0.15
-SPMV_N = 2000
 
 
 def best_of(fn, repeats: int) -> float:
@@ -82,7 +73,7 @@ def time_overlap(executor: str, p: int, repeats: int, supervise=None) -> float:
         # session creation is lazy: the supervision scope must cover it
         with use_supervision(supervise):
             pool = machine.rank_pool()
-            for r in range(p):  # warm-up: spawn workers, prime the pipes
+            for r in range(p):  # warm-up: spawn workers, prime the sockets
                 pool.submit(r, "exec.echo", Phase.COMPUTE, payload=None)
             for r in range(p):
                 pool.result(r)
@@ -98,32 +89,12 @@ def time_overlap(executor: str, p: int, repeats: int, supervise=None) -> float:
         machine.shutdown()
 
 
-def time_spmv(executor: str, n: int, p: int, repeats: int) -> float:
-    """Repeated distributed SpMV after one scheme run placed the locals."""
-    from repro.apps.spmv import distributed_spmv
-    from repro.core import get_compression, get_partition, get_scheme
-    from repro.machine import Machine, sp2_cost_model
-    from repro.sparse import random_sparse
-
-    matrix = random_sparse((n, n), 0.1, seed=2002 + n)
-    plan = get_partition("row").plan(matrix.shape, p)
-    machine = Machine(p, cost=sp2_cost_model(), executor=executor)
-    try:
-        get_scheme("ed").run(machine, matrix, plan, get_compression("crs"))
-        x = np.linspace(-1.0, 1.0, n)
-        distributed_spmv(machine, plan, x)  # warm-up: ships + caches locals
-        return best_of(lambda: distributed_spmv(machine, plan, x), repeats)
-    finally:
-        machine.shutdown()
-
-
-def run_cells(quick: bool, repeats: int, verbose: bool = True) -> dict:
+def run_cells(repeats: int, verbose: bool = True) -> dict:
     cases: dict[str, dict] = {}
 
-    def record(key, kind, n, p, t_sim, t_proc):
+    def record(key, kind, p, t_sim, t_proc):
         cases[key] = {
             "kind": kind,
-            "n": n,
             "p": p,
             "t_sim_s": t_sim,
             "t_process_s": t_proc,
@@ -139,7 +110,7 @@ def run_cells(quick: bool, repeats: int, verbose: bool = True) -> dict:
     for p in PROCS:
         t_sim = time_overlap("sim", p, repeats)
         t_proc = time_overlap("process", p, repeats)
-        record(f"overlap-p{p}", "overlap", None, p, t_sim, t_proc)
+        record(f"overlap-p{p}", "overlap", p, t_sim, t_proc)
 
     # supervision overhead: same p=4 overlap workload, bare vs supervised
     from repro.exec import SuperviseSpec
@@ -149,7 +120,6 @@ def run_cells(quick: bool, repeats: int, verbose: bool = True) -> dict:
     overhead = t_sup / t_bare - 1.0 if t_bare > 0 else float("inf")
     cases["supervised-p4"] = {
         "kind": "supervised",
-        "n": None,
         "p": 4,
         "t_bare_s": t_bare,
         "t_supervised_s": t_sup,
@@ -161,32 +131,23 @@ def run_cells(quick: bool, repeats: int, verbose: bool = True) -> dict:
             f"supervised {t_sup * 1e3:6.1f} ms   "
             f"overhead {overhead:+7.2%}"
         )
-
-    if not quick:
-        for p in PROCS:
-            t_sim = time_spmv("sim", SPMV_N, p, repeats)
-            t_proc = time_spmv("process", SPMV_N, p, repeats)
-            record(f"spmv-n{SPMV_N}-p{p}", "spmv", SPMV_N, p, t_sim, t_proc)
     return cases
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="overlap cells only (CI-sized)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-k wall clock per cell (default 3)")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help=f"output JSON (default {DEFAULT_OUT.name})")
     args = parser.parse_args(argv)
 
-    cases = run_cells(args.quick, args.repeats)
+    cases = run_cells(args.repeats)
     report = {
         "meta": {
             "cores": os.cpu_count() or 1,
             "procs": list(PROCS),
             "sleep_s": SLEEP_S,
-            "spmv_n": SPMV_N,
             "repeats": args.repeats,
             "numpy_version": np.__version__,
             "python_version": ".".join(map(str, sys.version_info[:3])),

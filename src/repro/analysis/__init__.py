@@ -14,7 +14,7 @@ Zero dependencies beyond the standard library: the engine is plain
 committed project configuration of per-rule scopes and allowlists
 (:mod:`repro.analysis.config`), a cross-file symbol table + call graph
 for the interprocedural tier (:mod:`repro.analysis.callgraph`) and
-eleven shipped rules (:mod:`repro.analysis.rules`):
+ten shipped rules (:mod:`repro.analysis.rules`):
 
 ========  =============================================================
 RL001     kernel-boundary — no direct numpy calls in backend-dispatched
@@ -34,8 +34,6 @@ RL007     async-blocking — no transitively-blocking call reachable from
           (interprocedural, via the call graph)
 RL008     async-loop-liveness — every ``while`` in an ``async def``
           awaits on every continuing path (the PR 9 starvation shape)
-RL009     shm-lifecycle — ``SharedMemory`` create/attach pairs with a
-          ``finally:`` close or a segment-ledger registration
 RL010     rank-task-purity — ``@rank_task`` bodies stay pure w.r.t.
           charge replay (no globals, clock reads, global RNG, obs)
 RL011     fork-safety — no thread creation in fork-spawning modules; no

@@ -136,15 +136,6 @@ _BLOCKING_ROOTS = frozenset({
     "RunSession.run",
 })
 
-#: RL009 — calls that register a segment name with the crash reaper's
-#: ledger (``wire.py``'s ``on_segment`` hook, supervise's ledger note)
-_SHM_LEDGER_CALLS = frozenset({
-    "on_segment",
-    "_note_segment",
-    "record_segment",
-})
-
-
 def project_config() -> LintConfig:
     """The configuration ``repro lint`` runs with on this repository."""
     return LintConfig(
@@ -165,9 +156,6 @@ def project_config() -> LintConfig:
         blocking_calls=_BLOCKING_CALLS,
         blocking_suspects=_BLOCKING_SUSPECTS,
         blocking_roots=_BLOCKING_ROOTS,
-        # RL009 — the SHM wire layer lives in exec/
-        shm_scope=("src/repro/exec/*.py",),
-        shm_ledger_calls=_SHM_LEDGER_CALLS,
         # RL010 — @rank_task may be registered anywhere in src/
         task_scope=("src/repro/*.py",),
         task_purity_allow=frozenset(),  # every shipped task is pure today

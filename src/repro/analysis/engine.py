@@ -105,12 +105,6 @@ class LintConfig:
     #: are blocking by contract regardless of what their bodies resolve
     #: to (``RunSession.run`` joins rank workers three layers down)
     blocking_roots: frozenset[str] = frozenset()
-    #: RL009 — globs whose SharedMemory create/attach sites must pair
-    #: with close/unlink or a segment-ledger registration
-    shm_scope: tuple[str, ...] = ()
-    #: RL009 — callable names accepted as segment-ledger registrations
-    #: (the wire/supervise discipline: the name is recorded before send)
-    shm_ledger_calls: frozenset[str] = frozenset()
     #: RL010 — globs patrolled for ``@rank_task`` purity
     task_scope: tuple[str, ...] = ()
     #: RL010 — task registry names exempted after review (each entry

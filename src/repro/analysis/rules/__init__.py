@@ -16,7 +16,6 @@ from . import (  # noqa: F401  (registration imports)
     rl006_exit_contract,
     rl007_async_blocking,
     rl008_async_liveness,
-    rl009_shm_lifecycle,
     rl010_task_purity,
     rl011_fork_safety,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "rl006_exit_contract",
     "rl007_async_blocking",
     "rl008_async_liveness",
-    "rl009_shm_lifecycle",
     "rl010_task_purity",
     "rl011_fork_safety",
 ]

@@ -9,13 +9,13 @@ Public surface:
 * supervision — :class:`SuperviseSpec`, :func:`use_supervision`,
   :func:`current_supervision`
   (``REPRO_SUPERVISE`` sets the default), :class:`SupervisorSummary`,
-  :class:`WorkerCrashError` for real crash/hang/leak tolerance on the
+  :class:`WorkerCrashError` for real crash/hang tolerance on the
   process executor;
 * test/teardown hooks — :func:`reap_all_sessions`,
-  :func:`reap_leaked_segments`, :func:`shutdown_escalations`.
+  :func:`shutdown_escalations`.
 
 See DESIGN.md §"Execution tiers" for the byte-identity contract and
-§"Real-fault supervision" for the crash/hang/leak taxonomy.
+§"Real-fault supervision" for the crash/hang taxonomy.
 """
 
 from .dispatch import (
@@ -53,7 +53,6 @@ from .tasks import (
     rank_task,
     run_task,
 )
-from .wire import reap_leaked_segments
 
 __all__ = [
     "Charge",
@@ -79,7 +78,6 @@ __all__ = [
     "get_task",
     "rank_task",
     "reap_all_sessions",
-    "reap_leaked_segments",
     "register_executor",
     "run_task",
     "shutdown_escalations",

@@ -6,7 +6,7 @@ An :class:`Executor` decides *where* rank tasks run; two are registered:
   process, exactly the single-threaded simulator this repo started as
   (default);
 * ``"process"`` (:mod:`repro.exec.process`) — one OS process per
-  simulated rank, frames on shared-memory wire buffers.
+  simulated rank, frames on one socket pair per worker.
 
 Selection: an explicit ``executor=`` on :class:`~repro.machine.machine.
 Machine` / ``run_scheme`` / ``RunRequest`` (the CLI's ``--executor``),

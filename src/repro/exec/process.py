@@ -3,18 +3,28 @@
 Topology: the coordinator (the process driving the
 :class:`~repro.machine.machine.Machine`) owns the simulated clock, the
 trace ledger, the fault injector and every mailbox; each rank gets one
-long-lived daemon worker connected by a duplex pipe, with large frames
-riding :mod:`repro.exec.wire`'s shared-memory segments.  Workers execute
+long-lived daemon worker holding one end of a socket pair, over which
+:mod:`repro.exec.wire` frames travel.  Workers execute
 registered rank tasks (:mod:`repro.exec.tasks`) — pure receiver-side
 arithmetic — and return values plus deferred cost charges; the
 coordinator replays those charges deterministically in rank order, which
 is why the trace is byte-identical to the inline simulator no matter how
 execution interleaves in wall-clock time.
 
-What is parallel: the receiver-side kernels (compress / unpack / decode /
-SpMV partials) across ranks.  What stays coordinated: sends, the fault
-injector's RNG, retries/acks, membership, all cost accounting.  See
+What runs in the workers: the receiver-side kernels (compress / unpack /
+decode / SpMV partials).  What stays coordinated: sends, the fault
+injector's RNG, retries/acks, membership, all cost accounting.  The
+tier exists for fault isolation, not speed: rank tasks are too small a
+share of a run for real processes to beat the inline simulator.  See
 DESIGN.md §"Execution tiers".
+
+One task in flight per worker
+-----------------------------
+A worker runs one task at a time and replies in order, so before a new
+dispatch the session reads (and discards) any reply nobody collected —
+an aborted run may abandon one.  Without that, a worker still writing a
+large abandoned reply and a host writing a large envelope would block
+each other forever.
 
 Worker lifecycle
 ----------------
@@ -41,12 +51,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import socket
 import time
 import warnings
 import weakref
 from itertools import count
 from multiprocessing import connection
-from typing import Any, Callable
+from typing import Any
 
 from .dispatch import Executor
 from .tasks import ExecutorError, Ref, TaskResult, run_task
@@ -116,20 +127,20 @@ def _start_method() -> str:
 def _worker_main(conn: Any, rank: int, inherited: list[Any]) -> None:
     """One rank's worker loop: receive envelopes, run tasks, reply.
 
-    ``inherited`` are coordinator-side pipe ends a ``fork`` copied into
-    this process; they are closed first, so the coordinator's death
-    reaches every worker as EOF on its pipe instead of leaving it
+    ``inherited`` are coordinator-side socket ends a ``fork`` copied
+    into this process; they are closed first, so the coordinator's death
+    reaches every worker as EOF on its socket instead of leaving it
     orphaned.
 
     Envelopes (coordinator → worker):
 
     * ``("value", key, value)`` — store-cache push;
-    * ``("task", id, name, ctx_rank, backend, count_kernels, kwargs)`` —
+    * ``("task", name, ctx_rank, backend, count_kernels, kwargs)`` —
       run a task (``Ref`` markers in ``kwargs`` resolve from the store);
     * ``("clear",)`` — drop the store (machine reset);
     * ``("stop",)`` — exit.
 
-    Replies are ``("result", id, TaskResult)``, strictly FIFO.
+    Each task gets exactly one reply, its :class:`TaskResult`.
     """
     for end in inherited:
         end.close()
@@ -157,7 +168,7 @@ def _worker_main(conn: Any, rank: int, inherited: list[Any]) -> None:
             _, key, value = envelope
             store[key] = value
             continue
-        _, task_id, name, ctx_rank, backend, count_kernels, kwargs = envelope
+        _, name, ctx_rank, backend, count_kernels, kwargs = envelope
         try:
             resolved = {
                 k: store[v.key] if isinstance(v, Ref) else v
@@ -170,21 +181,20 @@ def _worker_main(conn: Any, rank: int, inherited: list[Any]) -> None:
         except Exception as err:  # infrastructure failure, not task error
             result = TaskResult(error=ExecutorError(repr(err)))
         try:
-            send_msg(conn, ("result", task_id, result))
+            send_msg(conn, result)
+        except OSError:  # the coordinator closed its end mid-reply
+            break
         except Exception as err:
-            # unpicklable value/error: ship the charges with a diagnosis
+            # unpicklable value/error (raised before any byte was sent):
+            # ship the charges with a diagnosis
             send_msg(
                 conn,
-                (
-                    "result",
-                    task_id,
-                    TaskResult(
-                        charges=result.charges,
-                        kernel_calls=result.kernel_calls,
-                        wall_s=result.wall_s,
-                        error=ExecutorError(
-                            f"rank {rank}: result not transferable: {err!r}"
-                        ),
+                TaskResult(
+                    charges=result.charges,
+                    kernel_calls=result.kernel_calls,
+                    wall_s=result.wall_s,
+                    error=ExecutorError(
+                        f"rank {rank}: result not transferable: {err!r}"
                     ),
                 ),
             )
@@ -199,32 +209,20 @@ class ProcessSession:
     def __init__(self, n_procs: int) -> None:
         self.n_procs = n_procs
         self._ctx = multiprocessing.get_context(_start_method())
-        # start the resource-tracker daemon *before* any worker forks: a
-        # worker forked first would lazily spawn its own tracker on its
-        # first SharedMemory attach, and its unregisters would then never
-        # reach the parent's daemon — which warns about (and re-unlinks)
-        # every host-created segment at exit
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
         self._workers: list[Any] = [None] * n_procs
         self._conns: list[Any] = [None] * n_procs
-        #: worker generation per rank; handles from an older generation
-        #: can never match a restarted worker's replies
-        self._gen = [0] * n_procs
+        #: the task id each rank's worker owes a reply for; task ids are
+        #: never reused, so a handle is live only while it matches
+        self._outstanding: list[int | None] = [None] * n_procs
         #: (rank, key) -> version the rank's worker last received
         self._cache: dict[tuple[int, str], int] = {}
-        #: supervisor hook: called ``(rank, segment_name)`` for every
-        #: host-created SharedMemory segment the moment it exists, so a
-        #: crash sweep can reclaim segments a dead worker never consumed
-        self._segment_sink: Callable[[int, str], None] | None = None
         self._task_ids = count()
         _LIVE_SESSIONS.add(self)
         self._finalizer = weakref.finalize(self, _shutdown_impl, self._workers, self._conns)
 
     # ------------------------------------------------------------------
     def _ensure_worker(self, rank: int) -> Any:
-        """The rank's live pipe endpoint, (re)spawning the worker if needed."""
+        """The rank's live socket end, (re)spawning the worker if needed."""
         if not 0 <= rank < self.n_procs:
             raise ValueError(f"rank {rank} out of range for p={self.n_procs}")
         worker = self._workers[rank]
@@ -232,9 +230,9 @@ class ProcessSession:
             return self._conns[rank]
         if worker is not None:  # died or was killed: forget its state
             self._forget_rank(rank)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        parent_conn, child_conn = socket.socketpair()
         # a forked child shares this process's memory image: hand it the
-        # coordinator ends it must close (this pipe's and every live
+        # coordinator ends it must close (this pair's and every live
         # session's); spawn pickles args and inherits no descriptors
         inherited = (
             [parent_conn]
@@ -255,15 +253,11 @@ class ProcessSession:
         return parent_conn
 
     def _forget_rank(self, rank: int) -> None:
-        conn = self._conns[rank]
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        if self._conns[rank] is not None:
+            self._conns[rank].close()
         self._workers[rank] = None
         self._conns[rank] = None
-        self._gen[rank] += 1
+        self._outstanding[rank] = None
         for cache_key in [k for k in self._cache if k[0] == rank]:
             del self._cache[cache_key]
 
@@ -278,134 +272,110 @@ class ProcessSession:
         *,
         backend: str,
         count_kernels: bool,
-    ) -> tuple[int, int, int]:
+        deadline: float | None = None,
+    ) -> tuple[int, int]:
         """Start ``task`` on rank ``rank``'s worker; returns a handle.
 
         ``refs`` maps kwarg names to ``(key, version, value)``; values
-        whose version the worker already holds stay home.
+        whose version the worker already holds stay home.  A reply
+        nobody collected is read and discarded first (one task in
+        flight per worker).  Every read and send is bounded by
+        ``deadline``; past it :class:`TimeoutError` propagates and the
+        worker must be killed.
         """
         conn = self._ensure_worker(rank)
         task_id = next(self._task_ids)
-        sink = self._segment_sink
-        on_segment = None if sink is None else (lambda name: sink(rank, name))
         try:
+            abandoned = self._outstanding[rank]
+            if abandoned is not None:
+                self._read_reply(rank, abandoned, deadline)
             for key, version, value in refs.values():
                 if self._cache.get((rank, key)) != version:
-                    send_msg(conn, ("value", key, value), on_segment=on_segment)
+                    send_msg(conn, ("value", key, value), deadline)
                     self._cache[(rank, key)] = version
             send_msg(
                 conn,
-                ("task", task_id, task, ctx_rank, backend, count_kernels, kwargs),
-                on_segment=on_segment,
+                ("task", task, ctx_rank, backend, count_kernels, kwargs),
+                deadline,
             )
-        except (OSError, BrokenPipeError) as err:
+        except TimeoutError:
+            raise
+        except OSError as err:
             raise ExecutorError(
                 f"worker for rank {rank} is unreachable: {err!r}"
             ) from err
-        return (rank, self._gen[rank], task_id)
+        self._outstanding[rank] = task_id
+        return (rank, task_id)
 
-    def result(self, handle: tuple[int, int, int]) -> TaskResult:
-        """Block for one dispatched task's result.
+    def result(
+        self, handle: tuple[int, int], deadline: float | None = None
+    ) -> TaskResult:
+        """Wait for one dispatched task's result.
 
-        Replies are FIFO per worker; results abandoned by an aborted run
-        (a scheme that raised mid-collection) are drained and discarded
-        here until the requested task id arrives.
+        Waits on the worker's socket *and* its process sentinel, so a
+        worker that died raises :class:`ExecutorError` (buffered replies
+        are still read before the sentinel is believed).  A worker still
+        silent at ``deadline`` — or one whose reply is still arriving —
+        raises :class:`TimeoutError`; ``None`` waits forever.
         """
-        rank, gen, task_id = handle
-        if gen != self._gen[rank] or self._conns[rank] is None:
+        rank, task_id = handle
+        if self._outstanding[rank] != task_id:
             raise ExecutorError(
-                f"worker for rank {rank} was restarted; task {task_id} is lost"
+                f"task {task_id} on rank {rank} is lost (already collected, "
+                "superseded, or its worker restarted)"
             )
-        conn = self._conns[rank]
-        while True:
-            try:
-                reply = recv_msg(conn)
-            except (EOFError, OSError) as err:
-                self._forget_rank(rank)
-                raise ExecutorError(
-                    f"worker for rank {rank} died before returning task "
-                    f"{task_id}: {err!r}"
-                ) from err
-            if reply[0] == "result" and reply[1] == task_id:
-                result: TaskResult = reply[2]
-                return result
-            # an older, abandoned task's reply: discard and keep reading
+        conn, worker = self._conns[rank], self._workers[rank]
+        timeout = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+        ready = connection.wait([conn, worker.sentinel], timeout=timeout)
+        if conn in ready:
+            return self._read_reply(rank, task_id, deadline)
+        if worker.sentinel in ready:
+            self._forget_rank(rank)
+            raise ExecutorError(
+                f"worker for rank {rank} died before returning task "
+                f"{task_id}: process exited"
+            )
+        raise TimeoutError(f"rank {rank} is silent past task {task_id}'s deadline")
+
+    def _read_reply(
+        self, rank: int, task_id: int, deadline: float | None
+    ) -> TaskResult:
+        """Read the one reply the rank's worker owes for ``task_id``."""
+        try:
+            result: TaskResult = recv_msg(self._conns[rank], deadline)
+        except TimeoutError:
+            raise
+        except (EOFError, OSError) as err:
+            self._forget_rank(rank)
+            raise ExecutorError(
+                f"worker for rank {rank} died before returning task "
+                f"{task_id}: {err!r}"
+            ) from err
+        self._outstanding[rank] = None
+        return result
 
     # ------------------------------------------------------------------
     # supervision primitives (repro.exec.supervise drives these)
     # ------------------------------------------------------------------
-    def set_segment_sink(self, sink: Callable[[int, str], None] | None) -> None:
-        """Install the supervisor's host-created-segment ledger hook."""
-        self._segment_sink = sink
-
     def worker_pid(self, rank: int) -> int | None:
         """The rank's live worker pid (``None`` when not spawned)."""
         worker = self._workers[rank]
         return worker.pid if worker is not None else None
 
-    def kill_worker(self, rank: int) -> int | None:
-        """Hard-kill the rank's worker; returns its pid for attribution.
+    def kill_worker(self, rank: int) -> None:
+        """Hard-kill the rank's worker and forget its state.
 
         ``SIGKILL`` (not terminate) so even a ``SIGSTOP``-ped worker —
         on which a ``SIGTERM`` would stay pending forever — dies now.
-        The worker's state is forgotten; the next dispatch respawns.
+        The next dispatch respawns.
         """
         worker = self._workers[rank]
         if worker is None:
-            return None
-        pid: int | None = worker.pid
+            return
         if worker.is_alive():
             worker.kill()
             worker.join(timeout=_JOIN_GRACE_S)
         self._forget_rank(rank)
-        return pid
-
-    def try_result(
-        self, handle: tuple[int, int, int], timeout: float
-    ) -> TaskResult | None:
-        """Poll one dispatched task for up to ``timeout`` seconds.
-
-        Waits on the worker's pipe *and* its process sentinel; returns
-        ``None`` when the worker is alive but silent past the timeout
-        (the supervisor's hang-detection window) and raises
-        :class:`ExecutorError` when the worker died first (pipe-EOF or
-        sentinel) — buffered replies are still drained before the
-        sentinel is believed.
-        """
-        rank, gen, task_id = handle
-        if gen != self._gen[rank] or self._conns[rank] is None:
-            raise ExecutorError(
-                f"worker for rank {rank} was restarted; task {task_id} is lost"
-            )
-        conn = self._conns[rank]
-        worker = self._workers[rank]
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            ready = connection.wait(
-                [conn, worker.sentinel], timeout=max(remaining, 0.0)
-            )
-            if conn in ready:
-                try:
-                    reply = recv_msg(conn)
-                except (EOFError, OSError) as err:
-                    self._forget_rank(rank)
-                    raise ExecutorError(
-                        f"worker for rank {rank} died before returning task "
-                        f"{task_id}: {err!r}"
-                    ) from err
-                if reply[0] == "result" and reply[1] == task_id:
-                    result: TaskResult = reply[2]
-                    return result
-                continue  # an abandoned task's reply: discard, keep reading
-            if worker.sentinel in ready:
-                self._forget_rank(rank)
-                raise ExecutorError(
-                    f"worker for rank {rank} died before returning task "
-                    f"{task_id}: process exited"
-                )
-            if remaining <= 0:
-                return None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -419,7 +389,7 @@ class ProcessSession:
                 continue
             try:
                 send_msg(conn, ("clear",))
-            except (OSError, BrokenPipeError):  # pragma: no cover
+            except OSError:  # pragma: no cover
                 self._forget_rank(rank)
 
     def kill_rank(self, rank: int) -> None:
@@ -436,10 +406,9 @@ class ProcessSession:
                 worker.kill()
                 worker.join(timeout=5)
         self._forget_rank(rank)
-        self._workers[rank] = None
 
     def shutdown(self) -> int:
-        """Stop every worker and close every pipe (idempotent).
+        """Stop every worker and close every socket (idempotent).
 
         Returns how many workers ignored the stop envelope and needed
         the join → terminate → kill escalation (also counted in the
@@ -450,7 +419,7 @@ class ProcessSession:
         for rank in range(self.n_procs):
             self._workers[rank] = None
             self._conns[rank] = None
-            self._gen[rank] += 1
+            self._outstanding[rank] = None
         self._cache.clear()
         self._finalizer.detach()
         _LIVE_SESSIONS.discard(self)
@@ -473,13 +442,19 @@ def _shutdown_impl(workers: list[Any], conns: list[Any]) -> int:
     because a stopped (``SIGSTOP``) worker never delivers the pending
     ``SIGTERM`` — only ``SIGKILL`` fells it, and dropping through with
     the worker alive would leak a zombie into the host's process table.
+    The sockets close before the joins, so a worker blocked writing a
+    reply nobody will collect fails its write and exits instead of
+    waiting out the grace period.
     """
     for worker, conn in zip(workers, conns):
         if conn is not None and worker is not None and worker.is_alive():
             try:
-                send_msg(conn, ("stop",))
-            except (OSError, BrokenPipeError):  # pragma: no cover
+                send_msg(conn, ("stop",), time.monotonic() + _JOIN_GRACE_S)
+            except OSError:  # pragma: no cover - dead or wedged worker
                 pass
+    for conn in conns:
+        if conn is not None:
+            conn.close()
     escalated = 0
     for worker in workers:
         if worker is not None and worker.is_alive():
@@ -491,24 +466,18 @@ def _shutdown_impl(workers: list[Any], conns: list[Any]) -> int:
                 if worker.is_alive():  # stopped/unkillable-by-TERM: kill
                     worker.kill()
                     worker.join(timeout=_JOIN_GRACE_S)
-    for conn in conns:
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
     return escalated
 
 
 class ProcessExecutor(Executor):
-    """One worker process per rank, shared-memory wire buffers.
+    """One worker process per rank, one socket pair per worker.
 
     When a supervision plan is in scope (``--supervise`` /
     ``REPRO_SUPERVISE`` / :func:`~repro.exec.supervise.use_supervision`),
     the session comes wrapped in a
     :class:`~repro.exec.supervise.SupervisedSession` — crash/hang
-    detection, bounded restart-and-replay and SharedMemory crash sweeps
-    ride on top of the bare session transparently.
+    detection and bounded restart-and-replay ride on top of the bare
+    session transparently.
     """
 
     name = "process"

@@ -4,16 +4,19 @@ The simulator's fault layer (:mod:`repro.faults`) perturbs *simulated*
 messages; this module handles the faults the ``process`` executor newly
 made possible: a rank worker — a real OS process — can be OOM-killed,
 wedge in a syscall, or die mid-pickle.  Without supervision any of those
-takes the whole run down and can leave SharedMemory segments behind.
+takes the whole run down.
 
 :class:`SupervisedSession` wraps a bare
 :class:`~repro.exec.process.ProcessSession` with four defences:
 
 * **deadlines / watchdog** — every dispatched task carries a wall-clock
-  deadline (``task_timeout_s``); the host polls the worker's pipe *and*
-  its process sentinel, so a hung (e.g. ``SIGSTOP``-ed) worker is
-  detected the moment its deadline passes, not never;
-* **crash detection** — pipe-EOF or a closed sentinel before the reply
+  deadline (``task_timeout_s``), set *before* the envelope is sent.  It
+  bounds every host-side send and read for the task, and the host waits
+  on the worker's socket *and* its process sentinel, so a hung (e.g.
+  ``SIGSTOP``-ed) worker is detected the moment its deadline passes,
+  not never — even when the host is mid-way through writing a large
+  envelope the stopped worker will never read;
+* **crash detection** — socket EOF or a closed sentinel before the reply
   surfaces as a typed :class:`WorkerCrashError` carrying the failed rank
   and its last-known task (raised only when recovery is impossible or
   disabled — see below);
@@ -31,12 +34,6 @@ takes the whole run down and can leave SharedMemory segments behind.
   its tasks run inline on the host exactly like the ``sim`` executor,
   the downgrade is recorded in the supervisor summary and obs metrics,
   and the run completes instead of failing.
-
-SharedMemory hygiene rides along: every host-created wire segment is
-registered in a per-rank ledger at send time and the dead worker's own
-segments are attributable by pid (``reproexec-<pid>-…``), so a crash
-sweep reclaims both sides even after ``SIGKILL`` — the autouse conftest
-reaper then finds ``/dev/shm`` clean.
 
 Selection: an explicit ``supervise=`` on ``run_scheme`` /
 ``RunRequest`` (the CLI's ``--supervise spec.json``) or a
@@ -60,7 +57,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .tasks import ExecutorError, Ref, TaskResult, run_task
-from .wire import reap_named_segments, reap_segments_for_pid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.spans import Observability
@@ -81,7 +77,7 @@ class WorkerCrashError(ExecutorError):
 
     ``rank`` is the physical rank whose worker failed, ``task`` the
     last-known task it was running (``None`` when it died between
-    tasks), ``reason`` is ``"crash"`` (pipe-EOF / sentinel) or
+    tasks), ``reason`` is ``"crash"`` (socket EOF / sentinel) or
     ``"hang"`` (deadline exceeded).  Under supervision this only
     escapes when the restart budget is exhausted *and* degradation is
     disabled (``SuperviseSpec(degrade=False)``).
@@ -210,7 +206,7 @@ class SupervisorSummary:
     (a machine reused across runs keeps accumulating).
     """
 
-    #: worker deaths detected via pipe-EOF / process sentinel
+    #: worker deaths detected via socket EOF / process sentinel
     crashes: int = 0
     #: workers that blew their task deadline and were hard-killed
     hangs: int = 0
@@ -222,8 +218,6 @@ class SupervisorSummary:
     downgrades: int = 0
     #: those ranks, ascending
     degraded_ranks: tuple[int, ...] = field(default=())
-    #: SharedMemory segments reclaimed from crash sweeps
-    reaped_segments: int = 0
     #: shutdown joins that had to escalate to terminate/kill
     escalations: int = 0
 
@@ -232,7 +226,7 @@ class SupervisorSummary:
         """True when no real fault was observed (the common case)."""
         return not (
             self.crashes or self.hangs or self.restarts or self.replays
-            or self.downgrades or self.reaped_segments or self.escalations
+            or self.downgrades or self.escalations
         )
 
     def line(self) -> str:
@@ -240,10 +234,7 @@ class SupervisorSummary:
         if self.clean:
             return "supervisor: on, no real faults"
         parts = ["supervisor:"]
-        for name in (
-            "crashes", "hangs", "restarts", "replays",
-            "reaped_segments", "escalations",
-        ):
+        for name in ("crashes", "hangs", "restarts", "replays", "escalations"):
             value = getattr(self, name)
             if value:
                 parts.append(f"{name}={value}")
@@ -260,7 +251,6 @@ class SupervisorSummary:
             "replays": self.replays,
             "downgrades": self.downgrades,
             "degraded_ranks": list(self.degraded_ranks),
-            "reaped_segments": self.reaped_segments,
             "escalations": self.escalations,
         }
 
@@ -324,19 +314,17 @@ class _Pending:
     backend: str
     count_kernels: bool
     handle: Any = None
-    pid: int | None = None
     deadline: float = 0.0
     result: TaskResult | None = None
 
 
 #: metric help strings, one counter per supervisor action
 _METRIC_HELP = {
-    "crashes": "Rank worker deaths detected (pipe-EOF / sentinel)",
+    "crashes": "Rank worker deaths detected (socket EOF / sentinel)",
     "hangs": "Rank workers hard-killed after blowing a task deadline",
     "restarts": "Rank worker respawns performed by the supervisor",
     "replays": "Tasks re-executed after a worker death",
     "downgrades": "Ranks drained onto the inline simulator",
-    "reaped_segments": "SharedMemory segments reclaimed by crash sweeps",
     "escalations": "Shutdown joins escalated to terminate/kill",
 }
 
@@ -362,8 +350,6 @@ class SupervisedSession:
         self._seq = count()
         #: physical rank -> its one outstanding task
         self._pending: dict[int, _Pending] = {}
-        #: physical rank -> host-created segment names possibly in flight
-        self._segments: dict[int, list[str]] = {}
         #: physical rank -> restarts consumed from the budget
         self._restarts: dict[int, int] = {}
         #: ranks drained onto the inline simulator
@@ -371,9 +357,7 @@ class SupervisedSession:
         self._crashes = 0
         self._hangs = 0
         self._replays = 0
-        self._reaped = 0
         self._escalations = 0
-        inner.set_segment_sink(self._note_segment)
 
     # ------------------------------------------------------------------
     # observability
@@ -424,21 +408,12 @@ class SupervisedSession:
             )
         del self._pending[rank]
         while pending.result is None:
-            remaining = pending.deadline - time.monotonic()
             try:
-                reply = self.inner.try_result(
-                    pending.handle, timeout=max(remaining, 0.0)
-                )
+                return self.inner.result(pending.handle, pending.deadline)
+            except TimeoutError as err:
+                self._recover(pending, "hang", err)
             except ExecutorError as err:
                 self._recover(pending, "crash", err)
-            else:
-                if reply is not None:
-                    # FIFO pipe: our reply proves every envelope we sent
-                    # this worker was consumed — its segments are gone
-                    self._segments.pop(rank, None)
-                    return reply
-                if remaining <= 0:
-                    self._recover(pending, "hang", None)
         return pending.result
 
     def reset(self) -> None:
@@ -448,49 +423,49 @@ class SupervisedSession:
         """Simulated fail-stop death: never resurrected by the supervisor.
 
         The pending task (if any) is dropped — a later ``result`` raises
-        the same lost-task :class:`ExecutorError` a bare session raises —
-        and the rank's wire segments are swept with the worker.
+        the same lost-task :class:`ExecutorError` a bare session raises.
         """
         self._pending.pop(rank, None)
-        pid = self.inner.worker_pid(rank)
         self.inner.kill_rank(rank)
-        self._sweep(rank, pid)
 
     def shutdown(self) -> int:
-        """Tear the inner session down; sweep the segment ledger last."""
+        """Tear the inner session down, counting forced terminations."""
         escalated = self.inner.shutdown()
         if escalated:
             self._escalations += escalated
             self._count("escalations", escalated)
-        for rank in list(self._segments):
-            self._sweep(rank, None)
         return escalated
 
     # ------------------------------------------------------------------
     # supervision internals
     # ------------------------------------------------------------------
     def _launch(self, pending: _Pending) -> None:
-        """(Re-)dispatch ``pending`` to its worker, healing dispatch crashes."""
+        """(Re-)dispatch ``pending`` to its worker, healing dispatch faults.
+
+        The deadline starts before the send, so a worker that stops
+        reading mid-envelope is a hang, not a host blocked forever.
+        """
+        pending.deadline = time.monotonic() + self.spec.task_timeout_s
         try:
             pending.handle = self.inner.dispatch(
                 pending.rank, pending.task, pending.ctx_rank,
                 pending.kwargs, pending.refs,
                 backend=pending.backend,
                 count_kernels=pending.count_kernels,
+                deadline=pending.deadline,
             )
+        # _recover either re-launched (recursively, with a fresh handle
+        # and deadline), degraded (result computed), or raised —
+        # re-dispatching here would double-submit
+        except TimeoutError as err:
+            self._recover(pending, "hang", err)
         except ExecutorError as err:
-            # _recover either re-launched (recursively, with a fresh
-            # handle and deadline), degraded (result computed), or
-            # raised — re-dispatching here would double-submit
             self._recover(pending, "crash", err)
-            return
-        pending.pid = self.inner.worker_pid(pending.rank)
-        pending.deadline = time.monotonic() + self.spec.task_timeout_s
 
     def _recover(
-        self, pending: _Pending, kind: str, cause: BaseException | None
+        self, pending: _Pending, kind: str, cause: BaseException
     ) -> None:
-        """Heal one worker death: kill, sweep, then restart or degrade."""
+        """Heal one worker death: kill, then restart or degrade."""
         rank = pending.rank
         if kind == "hang":
             self._hangs += 1
@@ -498,9 +473,7 @@ class SupervisedSession:
         else:
             self._crashes += 1
             self._count("crashes")
-        pid = pending.pid if pending.pid is not None else self.inner.worker_pid(rank)
         self.inner.kill_worker(rank)
-        self._sweep(rank, pid)
         used = self._restarts.get(rank, 0)
         if used >= self.spec.max_restarts:
             self._downgrade(pending, kind, cause)
@@ -519,7 +492,7 @@ class SupervisedSession:
             self._launch(pending)
 
     def _downgrade(
-        self, pending: _Pending, kind: str, cause: BaseException | None
+        self, pending: _Pending, kind: str, cause: BaseException
     ) -> None:
         """Budget exhausted: drain the rank onto the inline simulator."""
         rank = pending.rank
@@ -561,28 +534,6 @@ class SupervisedSession:
             )
 
     # ------------------------------------------------------------------
-    # SharedMemory hygiene
-    # ------------------------------------------------------------------
-    def _note_segment(self, rank: int, name: str) -> None:
-        """Ledger hook: one host-created segment is in flight to ``rank``."""
-        self._segments.setdefault(rank, []).append(name)
-
-    def _sweep(self, rank: int, pid: int | None) -> None:
-        """Reclaim segments a dead worker can no longer consume or unlink.
-
-        Host-created segments come from the ledger (names the worker had
-        not necessarily consumed); worker-created result segments are
-        attributable by the dead worker's pid.  Only safe because the
-        worker is confirmed dead (killed and joined) before the sweep.
-        """
-        reaped = reap_named_segments(self._segments.pop(rank, []))
-        if pid is not None:
-            reaped += reap_segments_for_pid(pid)
-        if reaped:
-            self._reaped += len(reaped)
-            self._count("reaped_segments", len(reaped))
-
-    # ------------------------------------------------------------------
     def supervisor_summary(self) -> SupervisorSummary:
         """Snapshot of everything supervision did so far this session."""
         return SupervisorSummary(
@@ -592,7 +543,6 @@ class SupervisedSession:
             replays=self._replays,
             downgrades=len(self._degraded),
             degraded_ranks=tuple(sorted(self._degraded)),
-            reaped_segments=self._reaped,
             escalations=self._escalations,
         )
 

@@ -1,204 +1,83 @@
 """Wire transport between the coordinator and rank worker processes.
 
-Frames are serialised with pickle protocol 5; large array payloads ride
-out-of-band :class:`pickle.PickleBuffer` buffers that are copied into one
-:class:`multiprocessing.shared_memory.SharedMemory` segment per message
-(above :data:`SHM_THRESHOLD` total bytes) instead of being streamed
-through the pipe.  The receiver copies the buffers out of the segment via
-``memoryview`` slices, closes its mapping and unlinks the segment — one
-segment lives exactly as long as one in-flight message.
+Each rank worker holds one end of a ``socket.socketpair()``.  A message
+is one frame: a fixed header (pickle length, buffer count), the lengths
+of the out-of-band buffers, the pickle-5 stream, then the buffers
+themselves.  Array payloads ride as :class:`pickle.PickleBuffer`
+out-of-band buffers: the sender writes them straight from the arrays'
+memory and the receiver reads them with ``recv_into`` into fresh
+buffers the unpickled arrays then own.
 
 Byte-fidelity contract: serialisation must never change payload bytes.
-Pickle-5 out-of-band buffers are verbatim copies of the arrays' memory,
-so a frame arrives with the exact bytes it was sent with — the property
-the executor differential suite pins.
+Out-of-band buffers are verbatim copies of the arrays' memory, so a
+frame arrives with the exact bytes it was sent with — the property the
+executor differential suite pins.
 
-Leak discipline
----------------
-Segments are named ``reproexec-<pid>-<n>`` so stragglers are attributable
-and sweepable.  Resource-tracker bookkeeping is left to the stdlib: on
-Python 3.11 *both* creating and attaching register a segment (the cache
-is a set, so the double registration collapses) and ``unlink`` performs
-the single unregister — the receiver unlinking after its copy-out leaves
-the tracker exactly balanced, with no explicit unregister calls that
-could race into double-removes.  :func:`reap_leaked_segments` is the
-belt-and-braces sweep the test suite runs after each test for segments
-orphaned by a killed worker; it unregisters what it unlinks so the
-tracker does not re-unlink (or warn about) swept names at exit.
+Deadlines: every call takes an optional absolute ``time.monotonic()``
+deadline.  A send or read that cannot finish by then raises
+:class:`TimeoutError`, possibly mid-frame — the stream is then unusable
+and the caller must kill the worker (the supervisor counts it a hang).
+``None`` blocks for as long as the peer takes.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import pickle
-from multiprocessing import resource_tracker, shared_memory
-from pathlib import Path
-from typing import Any, Callable
+import socket
+import struct
+import time
+from typing import Any
 
-__all__ = [
-    "SHM_PREFIX",
-    "SHM_THRESHOLD",
-    "reap_leaked_segments",
-    "reap_named_segments",
-    "reap_segments_for_pid",
-    "recv_msg",
-    "send_msg",
-]
+__all__ = ["recv_msg", "send_msg"]
 
-#: shared-memory segment name prefix (``/dev/shm/<prefix>-...`` on Linux)
-SHM_PREFIX = "reproexec"
-
-#: total out-of-band payload bytes above which a message's buffers move
-#: through one SharedMemory segment instead of the pipe (64 KiB)
-SHM_THRESHOLD = 64 * 1024
-
-_seg_counter = itertools.count()
+#: frame header: pickle-stream length, out-of-band buffer count
+_HEAD = struct.Struct("!QI")
 
 
-def _fresh_name() -> str:
-    return f"{SHM_PREFIX}-{os.getpid()}-{next(_seg_counter)}"
-
-
-def _untrack(name: str) -> None:
-    """Unregister a *swept* segment so the exit cleanup skips it.
-
-    Only :func:`reap_leaked_segments` calls this: a segment found leaked
-    on disk was registered at creation and never unlinked, so exactly one
-    unregister rebalances the tracker.  The normal wire path never calls
-    it — there ``unlink`` does the one unregister itself.
-    """
-    try:
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
-def send_msg(
-    conn: Any,
-    obj: Any,
-    *,
-    threshold: int = SHM_THRESHOLD,
-    on_segment: Callable[[str], None] | None = None,
-) -> None:
-    """Serialise ``obj`` onto ``conn`` (a duplex ``multiprocessing`` pipe).
-
-    Out-of-band buffers totalling ``threshold`` bytes or more are copied
-    into one fresh SharedMemory segment; smaller messages inline them.
-    ``on_segment`` (the supervisor's ledger hook) is called with the
-    segment name the moment the segment exists — *before* the pipe send —
-    so a receiver killed at any later point leaves an attributable name
-    for :func:`reap_named_segments`.
-    """
-    buffers: list[pickle.PickleBuffer] = []
-    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    raws = [buf.raw() for buf in buffers]
-    total = sum(r.nbytes for r in raws)
-    if total < threshold:
-        conn.send(("inline", data, [bytes(r) for r in raws]))
+def _arm(sock: socket.socket, deadline: float | None) -> None:
+    """Bound the next socket call by ``deadline`` (``None``: blocking)."""
+    if deadline is None:
+        if sock.gettimeout() is not None:
+            sock.settimeout(None)
         return
-    shm = shared_memory.SharedMemory(create=True, size=total, name=_fresh_name())
-    if on_segment is not None:
-        on_segment(shm.name)
-    try:
-        offsets: list[tuple[int, int]] = []
-        pos = 0
-        for r in raws:
-            shm.buf[pos : pos + r.nbytes] = r
-            offsets.append((pos, r.nbytes))
-            pos += r.nbytes
-        conn.send(("shm", shm.name, data, offsets))
-    finally:
-        shm.close()  # the receiver owns the unlink (and its unregister)
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("wire deadline passed")
+    sock.settimeout(remaining)
 
 
-def recv_msg(conn: Any) -> Any:
-    """Receive one :func:`send_msg` frame from ``conn`` and deserialise it.
+def send_msg(sock: socket.socket, obj: Any, deadline: float | None = None) -> None:
+    """Serialise ``obj`` onto ``sock`` as one frame."""
+    raws: list[memoryview] = []
+    data = pickle.dumps(
+        obj, protocol=5, buffer_callback=lambda buf: raws.append(buf.raw())
+    )
+    head = _HEAD.pack(len(data), len(raws))
+    lengths = struct.pack(f"!{len(raws)}Q", *(raw.nbytes for raw in raws))
+    for chunk in (head + lengths + data, *raws):
+        _arm(sock, deadline)
+        sock.sendall(chunk)
+
+
+def _recv_exact(sock: socket.socket, n: int, deadline: float | None) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        _arm(sock, deadline)
+        got = sock.recv_into(view)
+        if not got:
+            raise EOFError("peer closed the wire")
+        view = view[got:]
+    return buf
+
+
+def recv_msg(sock: socket.socket, deadline: float | None = None) -> Any:
+    """Receive one :func:`send_msg` frame from ``sock`` and deserialise it.
 
     Raises ``EOFError``/``OSError`` when the peer died — callers translate
     that into a dead-worker diagnosis.
     """
-    frame = conn.recv()
-    kind = frame[0]
-    if kind == "inline":
-        _, data, raws = frame
-        return pickle.loads(data, buffers=raws)
-    _, name, data, offsets = frame
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        # copy out: the unpickled arrays must own their memory (the
-        # segment is gone the moment this function returns)
-        buffers = [bytes(shm.buf[pos : pos + length]) for pos, length in offsets]
-    finally:
-        shm.close()
-        try:
-            shm.unlink()  # also unregisters — the tracker's one remove
-        except FileNotFoundError:  # pragma: no cover - already swept
-            pass
-    return pickle.loads(data, buffers=buffers)
-
-
-def reap_leaked_segments() -> list[str]:
-    """Unlink every leftover ``reproexec-*`` segment; returns their names.
-
-    Only safe with no live executor session in flight (the test-suite
-    reaper shuts sessions down first).  Non-Linux hosts without
-    ``/dev/shm`` fall back to a no-op (leaks there are bounded by the
-    resource tracker's own exit sweep).
-    """
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():  # pragma: no cover - non-Linux
-        return []
-    reaped = []
-    for path in sorted(shm_dir.glob(f"{SHM_PREFIX}-*")):
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - concurrent sweep
-            continue
-        _untrack(path.name)
-        reaped.append(path.name)
-    return reaped
-
-
-def reap_named_segments(names: list[str]) -> list[str]:
-    """Unlink the ledger ``names`` that still exist; returns those reaped.
-
-    The supervisor's crash sweep for *host-created* segments: the ledger
-    over-approximates (a consumed segment's name stays listed until the
-    next successful result), so names already unlinked by the receiver
-    are silently skipped — no double-unregister reaches the tracker.
-    """
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():  # pragma: no cover - non-Linux
-        return []
-    reaped = []
-    for name in names:
-        try:
-            (shm_dir / name).unlink()
-        except OSError:
-            continue  # consumed (and unlinked) by the worker before it died
-        _untrack(name)
-        reaped.append(name)
-    return reaped
-
-
-def reap_segments_for_pid(pid: int) -> list[str]:
-    """Unlink every segment *created by* process ``pid``; returns names.
-
-    Segment names embed the creator's pid (``reproexec-<pid>-<n>``), so
-    a dead worker's in-flight result segments are attributable without a
-    ledger.  Only safe once ``pid`` is confirmed dead (killed and
-    joined): a live process may still be writing its segment.
-    """
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():  # pragma: no cover - non-Linux
-        return []
-    reaped = []
-    for path in sorted(shm_dir.glob(f"{SHM_PREFIX}-{pid}-*")):
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - concurrent sweep
-            continue
-        _untrack(path.name)
-        reaped.append(path.name)
-    return reaped
+    n_data, n_bufs = _HEAD.unpack(_recv_exact(sock, _HEAD.size, deadline))
+    lengths = struct.unpack(f"!{n_bufs}Q", _recv_exact(sock, 8 * n_bufs, deadline))
+    data = _recv_exact(sock, n_data, deadline)
+    return pickle.loads(data, buffers=[_recv_exact(sock, n, deadline) for n in lengths])

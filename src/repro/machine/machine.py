@@ -768,7 +768,7 @@ class Machine:
     def shutdown(self) -> None:
         """Tear down the executor session (idempotent, sim = no-op).
 
-        Worker processes and wire segments die here; the machine itself
+        Worker processes and their sockets die here; the machine itself
         stays usable — the next pool lazily builds a fresh session.
         """
         if self._exec_session is not None:

@@ -430,7 +430,7 @@ class RunScheduler:
             summary = payload.get("supervisor_summary")
             if summary is not None:
                 for kind in ("crashes", "hangs", "restarts", "replays",
-                             "downgrades", "reaped_segments", "escalations"):
+                             "downgrades", "escalations"):
                     if summary.get(kind):
                         self._count(
                             "repro_service_supervisor_events_total",

@@ -37,8 +37,6 @@ def corpus_config() -> LintConfig:
         blocking_calls=frozenset({"time.sleep", "open", "subprocess.run"}),
         blocking_suspects=frozenset({"join", "recv", "sleep", "wait"}),
         blocking_roots=frozenset({"RunSession.run"}),
-        shm_scope=("rl009/*.py",),
-        shm_ledger_calls=frozenset({"on_segment"}),
         task_scope=("rl010/*.py",),
         task_purity_allow=frozenset({"clean_allowlisted.stamped"}),
         # helper_threads.py sits outside fork scope on purpose: it is the

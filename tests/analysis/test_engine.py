@@ -25,11 +25,11 @@ import ast
 
 
 class TestRegistry:
-    def test_all_eleven_rules_registered(self):
+    def test_all_ten_rules_registered(self):
         codes = [r.code for r in all_rules()]
         assert codes == [
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-            "RL007", "RL008", "RL009", "RL010", "RL011",
+            "RL007", "RL008", "RL010", "RL011",
         ]
 
     def test_concurrency_tier_is_project_or_scoped(self):
@@ -39,7 +39,6 @@ class TestRegistry:
         assert by_code["RL007"].requires_project
         assert by_code["RL011"].requires_project
         assert not by_code["RL008"].requires_project
-        assert not by_code["RL009"].requires_project
         assert not by_code["RL010"].requires_project
 
     def test_rules_sorted_and_documented(self):

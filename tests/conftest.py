@@ -34,24 +34,21 @@ except ImportError:  # pragma: no cover - hypothesis is a test dependency
 
 @pytest.fixture(autouse=True)
 def _reap_executor_leaks():
-    """Kill orphaned rank workers and leaked SharedMemory segments.
+    """Kill orphaned rank workers.
 
-    The process executor owns OS resources (one worker per rank, shared-
-    memory wire segments).  Sessions tear themselves down via
-    ``Machine.shutdown()`` / finalizers, but a test that fails mid-run —
-    or kills a rank the hard way — must not leak workers or ``/dev/shm``
-    segments into the next test.  Runs after *every* test; both reapers
-    are O(1) no-ops when nothing leaked.
+    The process executor owns OS processes (one worker per rank).
+    Sessions tear themselves down via ``Machine.shutdown()`` /
+    finalizers, but a test that fails mid-run — or kills a rank the hard
+    way — must not leak workers into the next test.  Runs after *every*
+    test; an O(1) no-op when nothing leaked.
     """
     yield
     import multiprocessing
     import time
 
-    from repro.exec import reap_all_sessions, reap_leaked_segments
+    from repro.exec import reap_all_sessions
 
     reap_all_sessions()
-    leaked = reap_leaked_segments()
-    assert not leaked, f"test leaked shared-memory segments: {leaked}"
     # a worker SIGKILLed moments ago may not have exited yet; give kills
     # in flight a short window to land — a genuine leak never drains
     deadline = time.monotonic() + 2.0

@@ -5,8 +5,8 @@ would hang ``result()`` forever), and pytest-timeout is not a repo
 dependency — so this conftest arms a SIGALRM watchdog around every test
 under ``tests/exec/``.  A test that overruns fails with a traceback
 pointing at the blocked line instead of hanging the whole suite; the
-session reaper in the top-level conftest then clears any workers or
-shared-memory segments the interrupted test left behind.
+session reaper in the top-level conftest then clears any workers the
+interrupted test left behind.
 """
 
 from __future__ import annotations

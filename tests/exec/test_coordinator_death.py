@@ -1,8 +1,8 @@
 """Rank workers die with a SIGKILLed coordinator.
 
 A coordinator killed with ``SIGKILL`` runs no teardown, so its rank
-workers can only learn of its death from EOF on their pipes.  Under
-``fork`` every worker inherits copies of coordinator-side pipe ends; a
+workers can only learn of its death from EOF on their sockets.  Under
+``fork`` every worker inherits copies of coordinator-side socket ends; a
 worker that kept them open would never see EOF and would outlive the
 coordinator, reparented to init.
 """

@@ -110,6 +110,15 @@ def test_spmv_byte_identical(scheme):
     assert sim == proc
 
 
+def test_spawn_workers_byte_identical(monkeypatch):
+    """Under ``spawn`` each worker's socket end is pickled across rather
+    than inherited by ``fork``; its results still match the simulator."""
+    monkeypatch.setenv("REPRO_EXEC_START_METHOD", "spawn")
+    sim = run_cell("ed", "row", "crs", "sim", p=2, spmv=True)
+    proc = run_cell("ed", "row", "crs", "process", p=2, spmv=True)
+    assert sim == proc
+
+
 @pytest.mark.parametrize("policy", ["host-resend", "peer-redistribute"])
 @pytest.mark.parametrize("scheme", ["cfs", "ed"])
 def test_recovery_byte_identical(scheme, policy):

@@ -2,8 +2,8 @@
 
 Every test here injects a *real* OS fault (``SIGKILL`` / ``SIGSTOP``)
 into a rank worker and asserts the supervisor heals it: the task's value
-still arrives, charges replay exactly once, SharedMemory segments are
-swept, and the summary/metrics record what happened.  The opt-in
+still arrives, charges replay exactly once, and the summary/metrics
+record what happened.  The opt-in
 ``oschaos`` battery (``test_oschaos.py``) extends this to random faults
 over the full scheme grid; these tests pin each mechanism one at a time.
 """
@@ -11,12 +11,10 @@ over the full scheme grid; these tests pin each mechanism one at a time.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 import time
 import warnings
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -34,12 +32,6 @@ from repro.exec import (
 from repro.exec import process as process_mod
 from repro.exec.process import ProcessSession
 from repro.exec.supervise import SupervisedSession
-from repro.exec.wire import (
-    SHM_PREFIX,
-    reap_leaked_segments,
-    reap_named_segments,
-    reap_segments_for_pid,
-)
 from repro.machine import Machine, trace_to_dict
 from repro.machine.trace import Phase
 
@@ -333,80 +325,50 @@ class TestFailingReplayOrdering:
 
 
 # ----------------------------------------------------------------------
-# SharedMemory hygiene
+# envelopes far larger than a socket buffer
 # ----------------------------------------------------------------------
-def _attach_and_park(name, ready, release):
-    segment = shared_memory.SharedMemory(name=name)
-    ready.set()
-    release.wait(30)  # SIGKILL lands here, between attach and unlink
-    segment.close()
-    segment.unlink()
+#: 16 MB of float64 — far above any socket buffer, so a send only
+#: completes while the worker keeps reading
+BIG = np.arange(2_000_000, dtype=np.float64)
 
 
-class TestSegmentReaping:
-    def test_reap_after_sigkill_between_attach_and_unlink(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("needs fork")  # pragma: no cover - non-POSIX
-        ctx = multiprocessing.get_context("fork")
-        name = f"{SHM_PREFIX}-{os.getpid()}-reaptest"
-        segment = shared_memory.SharedMemory(create=True, size=1024, name=name)
-        ready, release = ctx.Event(), ctx.Event()
-        child = ctx.Process(
-            target=_attach_and_park, args=(name, ready, release), daemon=True
-        )
-        child.start()
-        try:
-            assert ready.wait(10), "child never attached"
-            os.kill(child.pid, signal.SIGKILL)
-            child.join(10)
-        finally:
-            segment.close()
-        reaped = reap_leaked_segments()
-        assert name in reaped
-
-    def test_reap_segments_for_pid_is_pid_scoped(self):
-        fake_pid = 999999901
-        mine = shared_memory.SharedMemory(
-            create=True, size=64, name=f"{SHM_PREFIX}-{fake_pid}-0"
-        )
-        other = shared_memory.SharedMemory(
-            create=True, size=64, name=f"{SHM_PREFIX}-{fake_pid + 1}-0"
-        )
-        mine.close()
-        other.close()
-        try:
-            reaped = reap_segments_for_pid(fake_pid)
-            assert reaped == [f"{SHM_PREFIX}-{fake_pid}-0"]
-        finally:
-            assert reap_leaked_segments() == [f"{SHM_PREFIX}-{fake_pid + 1}-0"]
-
-    def test_reap_named_segments_skips_consumed_names(self):
-        live = shared_memory.SharedMemory(
-            create=True, size=64, name=f"{SHM_PREFIX}-{os.getpid()}-ledger"
-        )
-        live.close()
-        reaped = reap_named_segments([live.name, f"{SHM_PREFIX}-nonexistent-9"])
-        assert reaped == [live.name]
-
-    def test_crash_sweep_reclaims_unconsumed_wire_segments(self):
-        """A big envelope sent to a stopped worker is swept, then replayed."""
+class TestBigEnvelopes:
+    def test_big_envelope_to_stopped_worker_is_healed(self):
+        """The deadline bounds the send: the host never blocks forever."""
         sess = make_session(p=1, task_timeout_s=0.6)
-        payload = np.arange(40_000, dtype=np.float64).reshape(200, 200)
         try:
             pid = warm_worker(sess, 0)
             os.kill(pid, signal.SIGSTOP)
-            # > SHM_THRESHOLD: the payload rides a shared-memory segment
-            # the stopped worker will never consume
-            h = dispatch(sess, 0, "exec.echo", {"payload": payload})
-            assert sess._segments.get(0), "ledger did not register the segment"
+            started = time.monotonic()
+            h = dispatch(sess, 0, "exec.echo", {"payload": BIG})
             value = sess.result(h).value
-            assert np.array_equal(value, payload)
-            summary = sess.supervisor_summary()
-            assert summary.hangs == 1
-            assert summary.reaped_segments >= 1
+            elapsed = time.monotonic() - started
+            assert np.array_equal(value, BIG)
+            assert sess.supervisor_summary().hangs == 1
+            assert elapsed < 4 * 0.6
         finally:
             sess.shutdown()
-        assert reap_leaked_segments() == []
+
+    def test_uncollected_big_reply_does_not_block_the_next_dispatch(self):
+        """One task in flight: a reply nobody collected is drained first.
+
+        Otherwise the worker, still writing the first 16 MB echo, and
+        the host, writing the second 16 MB envelope, wait on each other.
+        """
+        sess = ProcessSession(1)
+        try:
+            sess.dispatch(
+                0, "exec.echo", 0, {"payload": BIG}, {}, backend="numpy",
+                count_kernels=False,
+            )
+            second = BIG[::-1].copy()
+            h = sess.dispatch(
+                0, "exec.echo", 0, {"payload": second}, {}, backend="numpy",
+                count_kernels=False,
+            )
+            assert np.array_equal(sess.result(h).value, second)
+        finally:
+            sess.shutdown()
 
 
 # ----------------------------------------------------------------------
