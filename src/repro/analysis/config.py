@@ -44,7 +44,7 @@ DEFAULT_LINT_PATHS = ("src", "tests")
 _KERNEL_BOUNDARY = {
     "src/repro/core/encoded_buffer.py": frozenset({
         # RO prefix sum feeding the backend's pair gather; layout glue
-        "cumsum", "lexsort", "zeros",
+        "cumsum", "zeros",
     }),
     "src/repro/core/gather.py": frozenset({
         # host-side concatenation of received COO pieces (cold path)
@@ -74,10 +74,7 @@ _KERNEL_BOUNDARY = {
     "src/repro/core/ed.py": frozenset(),
     "src/repro/core/base.py": frozenset(),
     "src/repro/core/registry.py": frozenset(),
-    "src/repro/core/transpose.py": frozenset({
-        # transpose is pure index relabelling on host-held COO (cold path)
-        "lexsort",
-    }),
+    "src/repro/core/transpose.py": frozenset(),
     "src/repro/machine/packing.py": frozenset({
         # wire-exactness guards + dtype plumbing around pack_segments/
         # unpack_segment (the moves themselves are backend calls)

@@ -31,7 +31,7 @@ import numpy as np
 from ..kernels import current_backend
 from ..machine.packing import MAX_EXACT_INT
 from ..sparse.ccs import CCSMatrix
-from ..sparse.coo import COOMatrix
+from ..sparse.coo import COOMatrix, row_major_order
 from ..sparse.crs import CRSMatrix
 from .index_conversion import ConversionSpec
 
@@ -104,7 +104,7 @@ class EncodedBuffer:
             vals = local.values
         elif mode == "ccs":
             counts = local.col_counts()
-            order = np.lexsort((local.rows, local.cols))
+            order, _ = row_major_order((local.cols, local.rows), (lc, lr))
             seg_of = local.cols[order]
             idx_wire = conversion.to_global(local.rows[order])
             vals = local.values[order]
@@ -120,8 +120,8 @@ class EncodedBuffer:
                 "float64 wire exactly"
             )
         # nonzeros are already grouped by segment (canonical COO for CRS,
-        # the lexsort above for CCS); the backend lays out the Figure 6
-        # R_i, C, V, C, V, ... stream (vectorised or per-element).
+        # the column-major sort above for CCS); the backend lays out the
+        # Figure 6 R_i, C, V, C, V, ... stream (vectorised or per-element).
         data = current_backend().ed_encode(n_seg, counts, seg_of, idx_wire, vals)
         buf = cls(data=data, mode=mode, local_shape=(lr, lc))
         encode_ops = lr * lc + 3 * nnz

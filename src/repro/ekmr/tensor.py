@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..sparse.coo import canonical_take
+
 __all__ = ["SparseTensor"]
 
 
@@ -51,7 +53,8 @@ class SparseTensor:
             ):
                 raise ValueError(f"coordinate out of range in dimension {d}")
         if not canonical:
-            coords, values = self._canonicalise(shape, coords, values)
+            take, values = canonical_take(coords, shape, values)
+            coords = coords[:, take]
         coords = np.ascontiguousarray(coords)
         values = np.ascontiguousarray(values)
         coords.setflags(write=False)
@@ -59,24 +62,6 @@ class SparseTensor:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "values", values)
-
-    @staticmethod
-    def _canonicalise(shape, coords, values):
-        order = np.lexsort(coords[::-1])
-        coords, values = coords[:, order], values[order]
-        n = coords.shape[1]
-        if n:
-            new_group = np.empty(n, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = np.any(coords[:, 1:] != coords[:, :-1], axis=0)
-            gid = np.cumsum(new_group) - 1
-            summed = np.zeros(gid[-1] + 1, dtype=np.float64)
-            np.add.at(summed, gid, values)
-            firsts = np.flatnonzero(new_group)
-            coords, values = coords[:, firsts], summed
-            keep = values != 0.0
-            coords, values = coords[:, keep], values[keep]
-        return coords, values
 
     # ------------------------------------------------------------------
     @classmethod

@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..sparse.coo import row_major_order
 from .dispatch import KernelBackend
 
 __all__ = ["NumpyBackend"]
@@ -66,16 +67,15 @@ class NumpyBackend(KernelBackend):
         return indptr, np.asarray(cols, dtype=np.int64), np.asarray(values, np.float64)
 
     def ccs_from_coo(self, shape, rows, cols, values):
-        n_cols = int(shape[1])
-        order = np.lexsort((rows, cols))
+        n_rows, n_cols = int(shape[0]), int(shape[1])
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        # column-major: one key col · n_rows + row, ties in input order
+        order, _ = row_major_order((cols, rows), (n_cols, n_rows))
         counts = np.bincount(cols, minlength=n_cols).astype(np.int64)
         indptr = np.zeros(n_cols + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return (
-            indptr,
-            np.asarray(rows, dtype=np.int64)[order],
-            np.asarray(values, dtype=np.float64)[order],
-        )
+        return indptr, rows[order], np.asarray(values, dtype=np.float64)[order]
 
     # ------------------------------------------------------------------
     # CFS wire packing

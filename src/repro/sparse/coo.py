@@ -14,15 +14,27 @@ Conventions
 * A *canonical* COO matrix is sorted row-major (row, then col) and contains
   no duplicate coordinates and no explicitly stored zeros.  All constructors
   canonicalise unless told otherwise.
+
+Canonicalisation (:func:`canonical_take`, also used by the n-dimensional
+``SparseTensor``) sorts once, by one int64 key ``row · n_cols + col``, the
+paper's CRS order (:func:`row_major_order`).  Distinct keys have exactly one
+sorted order, so the fast unstable sort serves whenever the coordinates are
+distinct, which is every generated sample.  Only when a key repeats does it
+sort again, stably, and duplicates are then summed in input order, as a
+two-key ``np.lexsort`` would order them (float summation order is part of the
+byte-identity contract).  A shape whose ``n_rows · n_cols`` exceeds 2**63
+cannot key in int64; it keeps ``np.lexsort``, so the order is exact at every
+size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["COOMatrix"]
+__all__ = ["COOMatrix", "canonical_take", "row_major_order"]
 
 
 def _as_index_array(x, name: str) -> np.ndarray:
@@ -30,6 +42,63 @@ def _as_index_array(x, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
+
+
+def row_major_order(coords, shape):
+    """The order that sorts coordinates row-major, ties in input order.
+
+    ``coords`` holds one int64 index array per dimension of ``shape`` (the
+    first dimension is the major one).  Returns ``(order, new_group)``:
+    ``new_group`` marks the first of each run of equal coordinates in sorted
+    order, or is None when every coordinate is distinct.
+    """
+    strides = [1]
+    for size in reversed(shape[1:]):
+        strides.append(strides[-1] * size)
+    strides.reverse()
+    # the largest key, prod(shape) - 1, and every stride must fit in int64
+    if math.prod(shape) <= 2**63 and strides[0] < 2**63:
+        key = coords[0] * strides[0]
+        for c, stride in zip(coords[1:], strides[1:]):
+            key += c if stride == 1 else c * stride
+        order = np.argsort(key)
+        sorted_key = key[order]
+        same = sorted_key[1:] == sorted_key[:-1]
+        if not same.any():
+            return order, None
+        order = np.argsort(key, kind="stable")
+    else:
+        order = np.lexsort(coords[::-1])
+        same = np.ones(max(len(order) - 1, 0), dtype=bool)
+        for c in coords:
+            c = c[order]
+            same &= c[1:] == c[:-1]
+        if not same.any():
+            return order, None
+    new_group = np.empty(len(order), dtype=bool)
+    new_group[0] = True
+    np.logical_not(same, out=new_group[1:])
+    return order, new_group
+
+
+def canonical_take(coords, shape, values):
+    """Sort row-major, sum duplicates in input order, drop explicit zeros.
+
+    Returns ``(take, values)``: the canonical coordinates are ``c[take]``
+    for each ``c`` in ``coords``, and the returned values are a fresh
+    array, never the caller's memory.
+    """
+    take, new_group = row_major_order(coords, shape)
+    values = values[take]
+    if new_group is not None:
+        group_ids = np.cumsum(new_group) - 1
+        summed = np.zeros(group_ids[-1] + 1, dtype=np.float64)
+        np.add.at(summed, group_ids, values)
+        take, values = take[new_group], summed
+    nz = values != 0.0
+    if nz.all():
+        return take, values
+    return take[nz], values[nz]
 
 
 @dataclass(frozen=True)
@@ -73,7 +142,8 @@ class COOMatrix:
             if n_rows == 0 or n_cols == 0:
                 raise ValueError("nonzeros given for an empty shape")
         if not canonical:
-            rows, cols, values = self._canonicalise(rows, cols, values)
+            take, values = canonical_take((rows, cols), (n_rows, n_cols), values)
+            rows, cols = rows[take], cols[take]
         for arr in (rows, cols, values):
             arr.setflags(write=False)
         object.__setattr__(self, "shape", (n_rows, n_cols))
@@ -84,27 +154,6 @@ class COOMatrix:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _canonicalise(rows, cols, values):
-        """Sort row-major, sum duplicates, drop explicit zeros."""
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if len(rows):
-            # collapse duplicate coordinates by summation
-            new_group = np.empty(len(rows), dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group_ids = np.cumsum(new_group) - 1
-            n_groups = group_ids[-1] + 1
-            summed = np.zeros(n_groups, dtype=np.float64)
-            np.add.at(summed, group_ids, values)
-            keep_first = np.flatnonzero(new_group)
-            rows, cols, values = rows[keep_first], cols[keep_first], summed
-            # drop explicit zeros
-            nz = values != 0.0
-            rows, cols, values = rows[nz], cols[nz], values[nz]
-        return rows.copy(), cols.copy(), values.copy()
-
     @classmethod
     def from_dense(cls, dense) -> "COOMatrix":
         """Build a COO matrix from a dense 2-D array.

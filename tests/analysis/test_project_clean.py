@@ -9,9 +9,14 @@ act, per that module's docstring).
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.analysis import lint_paths, project_config
+from repro.analysis.rules.rl001_kernel_boundary import (
+    _dotted_numpy_call,
+    _numpy_aliases,
+)
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -35,3 +40,17 @@ def test_kernel_boundary_allowlists_reference_real_files():
     """Allowlist keys must point at files that exist (no rot)."""
     for pattern in project_config().kernel_boundary:
         assert (REPO / pattern).is_file(), f"stale allowlist key {pattern}"
+
+
+def test_kernel_boundary_allowlists_name_only_calls_the_module_makes():
+    """An allowlist is no wider than its module: every entry is called."""
+    for pattern, allowed in project_config().kernel_boundary.items():
+        tree = ast.parse((REPO / pattern).read_text(encoding="utf-8"))
+        aliases = _numpy_aliases(tree)
+        called = {
+            _dotted_numpy_call(node, aliases)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        unused = sorted(allowed - called)
+        assert not unused, f"{pattern} never calls np.{', np.'.join(unused)}"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.ekmr import SparseTensor
 
@@ -93,3 +95,81 @@ class TestQueries:
         t = SparseTensor.random((3, 3), 0.5, seed=2)
         with pytest.raises(ValueError):
             t.values[0] = 0.0
+
+
+def _lexsort_canonical(coords, values):
+    """The n-key lexsort canonicalisation the one-key sort replaced."""
+    order = np.lexsort(coords[::-1])
+    coords, values = coords[:, order], values[order]
+    n = coords.shape[1]
+    if n:
+        new_group = np.empty(n, dtype=bool)
+        new_group[0] = True
+        new_group[1:] = np.any(coords[:, 1:] != coords[:, :-1], axis=0)
+        gid = np.cumsum(new_group) - 1
+        summed = np.zeros(gid[-1] + 1, dtype=np.float64)
+        np.add.at(summed, gid, values)
+        firsts = np.flatnonzero(new_group)
+        coords, values = coords[:, firsts], summed
+        keep = values != 0.0
+        coords, values = coords[:, keep], values[keep]
+    return np.ascontiguousarray(coords), np.ascontiguousarray(values)
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.1, -0.1, np.nan, np.inf, -np.inf,
+                5e-324, -5e-324, 1e308, -1e308]
+
+#: small shapes of rank 1-4, and large ones at both sides of the 2**63
+#: cells an int64 key can hold
+_SHAPES = st.one_of(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+    st.sampled_from([
+        (2**21, 2**21, 2**21), (2**21, 2**21, 2**22), (2**63,),
+        (1, 2**63), (1, 1, 2**63), (2, 2**31, 2**31), (2**40, 2**40),
+    ]),
+)
+
+
+@st.composite
+def _tensor_inputs(draw):
+    shape = draw(_SHAPES)
+    k = draw(st.integers(0, 80))
+    coords = []
+    for size in shape:
+        pool = draw(st.lists(
+            st.integers(0, min(size, 2**63) - 1), min_size=1, max_size=3
+        ))
+        coords.append(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64)),
+        min_size=k, max_size=k,
+    ))
+    coords = np.array(coords, dtype=np.int64).reshape(len(shape), k)
+    values = np.array(values, dtype=np.float64)
+    if draw(st.booleans()):  # input that is already canonical
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords, values = _lexsort_canonical(coords, values)
+    return shape, coords, values
+
+
+class TestCanonicalDifferential:
+    """The one-key sort reproduces the n-key lexsort byte for byte."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_tensor_inputs())
+    def test_matches_lexsort_oracle(self, case):
+        shape, coords, values = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _lexsort_canonical(coords, values)
+            t = SparseTensor(shape, coords, values)
+        for got, expect in zip((t.coords, t.values), want):
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+            assert not got.flags.writeable and got.flags.c_contiguous
+            for caller in (coords, values):
+                assert not np.shares_memory(got, caller)
+                assert caller.flags.writeable

@@ -77,6 +77,8 @@ def test_workers_exit_after_coordinator_sigkill():
         if coordinator.poll() is None:
             coordinator.kill()
             coordinator.wait()
+        if coordinator.stdout is not None:
+            coordinator.stdout.close()
     for pid in survivors:  # do not leave them behind for the next test
         os.kill(pid, signal.SIGKILL)
     assert survivors == [], f"rank workers outlived their coordinator: {survivors}"
