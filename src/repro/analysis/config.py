@@ -103,6 +103,7 @@ _DETERMINISM_SCOPE = (
     "src/repro/core/index_conversion.py",
     "src/repro/faults/checksum.py",
     "src/repro/faults/injector.py",
+    "src/repro/faults/link.py",
     "src/repro/faults/spec.py",
     "src/repro/kernels/*.py",
 )

@@ -7,8 +7,7 @@ Public surface:
 * the coordinator API — :class:`RankPool` (via ``machine.rank_pool()``),
   :func:`rank_task` for registering new tasks;
 * supervision — :class:`SuperviseSpec`, :func:`use_supervision`,
-  :func:`current_supervision`
-  (``REPRO_SUPERVISE`` sets the default), :class:`SupervisorSummary`,
+  :func:`current_supervision`, :class:`SupervisorSummary`,
   :class:`WorkerCrashError` for real crash/hang tolerance on the
   process executor;
 * test/teardown hooks — :func:`reap_all_sessions`,
@@ -48,7 +47,6 @@ from .tasks import (
     Ref,
     TaskContext,
     TaskResult,
-    WireFrame,
     get_task,
     rank_task,
     run_task,
@@ -69,7 +67,6 @@ __all__ = [
     "SupervisorSummary",
     "TaskContext",
     "TaskResult",
-    "WireFrame",
     "WorkerCrashError",
     "available_executors",
     "current_executor_name",

@@ -43,7 +43,7 @@ from typing import Any
 
 from ..machine.membership import DeadRankError
 from ..machine.trace import Phase
-from .tasks import PoisonFrame, Ref, TaskResult, WireFrame, run_task
+from .tasks import PoisonFrame, Ref, TaskResult, run_task
 
 __all__ = ["RankPool"]
 
@@ -61,26 +61,18 @@ class RankPool:
     # envelope builders
     # ------------------------------------------------------------------
     def take_frame(self, rank: int, tag: str | None = None) -> Any:
-        """Pop ``rank``'s oldest matching frame as a :class:`WireFrame`.
+        """Pop ``rank``'s oldest matching frame, the ``Message`` itself.
 
-        Pop errors (dead rank, empty mailbox) come back as a
-        :class:`PoisonFrame` — submitted normally and raised by
+        The rank task verifies it (:meth:`~repro.exec.tasks.TaskContext.
+        open_frame`).  Pop errors (dead rank, empty mailbox) come back as
+        a :class:`PoisonFrame` — submitted normally and raised by
         :meth:`result` at the rank's stream position, like the serial
         receiver would.
         """
         try:
-            msg = self.machine._pop_frame(rank, tag)
+            return self.machine._pop_frame(rank, tag)
         except (DeadRankError, LookupError) as err:
             return PoisonFrame(err)
-        return WireFrame(
-            rank=msg.dst,
-            tag=msg.tag,
-            payload=msg.payload,
-            n_elements=msg.n_elements,
-            seq=msg.seq,
-            checksum=msg.checksum,
-            verify=self.machine.faults is not None,
-        )
 
     def ref(self, key: str) -> Ref:
         """Reference the submitting rank's stored object named ``key``."""

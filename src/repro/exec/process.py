@@ -473,7 +473,7 @@ class ProcessExecutor(Executor):
     """One worker process per rank, one socket pair per worker.
 
     When a supervision plan is in scope (``--supervise`` /
-    ``REPRO_SUPERVISE`` / :func:`~repro.exec.supervise.use_supervision`),
+    :func:`~repro.exec.supervise.use_supervision`),
     the session comes wrapped in a
     :class:`~repro.exec.supervise.SupervisedSession` — crash/hang
     detection and bounded restart-and-replay ride on top of the bare

@@ -37,9 +37,8 @@ takes the whole run down.
 
 Selection: an explicit ``supervise=`` on ``run_scheme`` /
 ``RunRequest`` (the CLI's ``--supervise spec.json``) or a
-:func:`use_supervision` scope, else the ``REPRO_SUPERVISE`` environment
-variable (``1`` for defaults, or a JSON spec path).  With none of those active, ``ProcessExecutor`` hands out bare
-sessions and nothing changes.
+:func:`use_supervision` scope.  With neither active,
+``ProcessExecutor`` hands out bare sessions and nothing changes.
 
 See DESIGN.md §"Real-fault supervision" for the simulated-vs-real fault
 taxonomy.
@@ -48,7 +47,6 @@ taxonomy.
 from __future__ import annotations
 
 import json
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -259,30 +257,11 @@ class SupervisorSummary:
 # dynamic scoping (mirrors repro.kernels.dispatch)
 # ----------------------------------------------------------------------
 _scope_stack: list[SuperviseSpec] = []
-_env_cache: dict[str, SuperviseSpec] = {}
-
-#: REPRO_SUPERVISE values meaning "defaults on" / "off"
-_ENV_ON = {"1", "on", "true", "default"}
-_ENV_OFF = {"", "0", "off", "false"}
-
-
-def _supervision_from_env() -> SuperviseSpec | None:
-    raw = os.environ.get("REPRO_SUPERVISE", "").strip()
-    if raw.lower() in _ENV_OFF:
-        return None
-    if raw not in _env_cache:
-        if raw.lower() in _ENV_ON:
-            _env_cache[raw] = SuperviseSpec()
-        else:
-            _env_cache[raw] = SuperviseSpec.from_file(raw)
-    return _env_cache[raw]
 
 
 def current_supervision() -> SuperviseSpec | None:
     """The plan a new process session resolves to (``None`` = bare)."""
-    if _scope_stack:
-        return _scope_stack[-1]
-    return _supervision_from_env()
+    return _scope_stack[-1] if _scope_stack else None
 
 
 @contextmanager

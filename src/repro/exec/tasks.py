@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from ..faults.checksum import verify_frame
+from ..machine.processor import Message
 from ..machine.trace import Phase
 
 __all__ = [
@@ -31,7 +33,6 @@ __all__ = [
     "Ref",
     "TaskContext",
     "TaskResult",
-    "WireFrame",
     "get_task",
     "rank_task",
     "run_task",
@@ -53,25 +54,6 @@ class Charge:
     n_ops: int
     phase: Phase
     label: str
-
-
-@dataclass(frozen=True)
-class WireFrame:
-    """A popped mailbox message, ready to cross an executor boundary.
-
-    ``rank`` is the *physical* destination rank (checksum failures report
-    physical ranks, exactly like ``Machine.receive``).  ``verify`` is
-    latched at pop time from whether the machine had a fault injector, so
-    the worker needs no fault state to honour the receive contract.
-    """
-
-    rank: int
-    tag: str
-    payload: Any
-    n_elements: int
-    seq: int
-    checksum: int | None
-    verify: bool
 
 
 @dataclass(frozen=True)
@@ -133,25 +115,15 @@ class TaskContext:
         """Defer one ``charge_proc_ops(rank, n_ops, phase, label)``."""
         self.charges.append(Charge(int(n_ops), phase, label))
 
-    def open_frame(self, frame: WireFrame, *, phase: Phase | None = None) -> Any:
+    def open_frame(self, frame: Message, *, phase: Phase | None = None) -> Any:
         """Unwrap a frame exactly like ``Machine.receive`` would.
 
-        When the frame was popped on a fault-mode machine and carries a
-        checksum, the CRC is re-verified against the wire image — one
-        scan op per element, charged to ``phase`` when given — and a
-        mismatch raises the same ``CorruptFrameError`` (with the
-        *physical* rank) the simulated receive raises.
+        A checksummed frame is re-verified against its wire image by the
+        same :func:`~repro.faults.checksum.verify_frame`: one scan op per
+        element, charged to ``phase`` when given, and the same
+        ``CorruptFrameError`` (with the *physical* rank) on a mismatch.
         """
-        if frame.verify and frame.checksum is not None:
-            from ..faults.checksum import CorruptFrameError, payload_checksum
-
-            if phase is not None:
-                self.charge(frame.n_elements, phase, "checksum-verify")
-            if payload_checksum(frame.payload) != frame.checksum:
-                raise CorruptFrameError(
-                    f"rank {frame.rank}: frame seq={frame.seq} tag={frame.tag!r} "
-                    "failed checksum verification after delivery"
-                )
+        verify_frame(frame, phase, self.charge)
         return frame.payload
 
 
@@ -226,7 +198,7 @@ def run_task(
 # the scheme / app receiver tasks
 # ----------------------------------------------------------------------
 @rank_task("sfc.compress")
-def _sfc_compress(ctx: TaskContext, frame: WireFrame, kind: str) -> Any:
+def _sfc_compress(ctx: TaskContext, frame: Message, kind: str) -> Any:
     """SFC receiver: compress the arrived dense block (CRS/CCS)."""
     from ..core.registry import get_compression
 
@@ -241,7 +213,7 @@ def _sfc_compress(ctx: TaskContext, frame: WireFrame, kind: str) -> Any:
 @rank_task("cfs.unpack")
 def _cfs_unpack(
     ctx: TaskContext,
-    frame: WireFrame,
+    frame: Message,
     conv: Any,
     kind: str,
     local_shape: tuple[int, int],
@@ -265,7 +237,7 @@ def _cfs_unpack(
 
 
 @rank_task("ed.decode")
-def _ed_decode(ctx: TaskContext, frame: WireFrame, conv: Any) -> Any:
+def _ed_decode(ctx: TaskContext, frame: Message, conv: Any) -> Any:
     """ED receiver: decode the Figure-6 special buffer."""
     buf = ctx.open_frame(frame, phase=Phase.DISTRIBUTION)
     compressed, decode_ops = buf.decode(conv)
@@ -276,7 +248,7 @@ def _ed_decode(ctx: TaskContext, frame: WireFrame, conv: Any) -> Any:
 @rank_task("spmv.partial")
 def _spmv_partial(
     ctx: TaskContext,
-    frame: WireFrame,
+    frame: Message,
     local: Any,
     expected_shape: tuple[int, int],
     transpose: bool,

@@ -15,17 +15,19 @@ to the simulator without perturbing the fault-free reproduction:
 * :mod:`~repro.faults.checksum` — CRC-32 wire checksums over every wire
   buffer (CFS packed ``RO/CO/VL``, the ED special buffer ``B``, SFC dense
   blocks), plus the deterministic bit-flip used to model corruption;
-* a reliable-delivery protocol implemented by
-  :class:`~repro.machine.machine.Machine`: every send attempt (original or
-  resend) is charged the full ``T_Startup + m·T_Data·hops`` through the
-  existing :class:`~repro.machine.cost_model.CostModel`, failed attempts
-  additionally charge an exponential-backoff timeout, and the trace gains
-  ``RETRY``/``FAULT`` event kinds so the retry tax is visible per phase.
+* :class:`~repro.faults.link.ReliableLink` — the reliable-delivery
+  protocol, the machine's wire when an injector is attached: every send
+  attempt (original or resend) is charged the full
+  ``T_Startup + m·T_Data·hops`` through the existing
+  :class:`~repro.machine.cost_model.CostModel`, failed attempts
+  additionally charge an exponential-backoff timeout, the trace gains
+  ``RETRY``/``FAULT`` event kinds so the retry tax is visible per phase,
+  and fail-stop deaths are detected after ``detect_after`` missed acks.
 
 With no injector attached (``Machine(..., faults=None)``, the default) the
-machine takes the exact pre-existing code path: the trace and every
-charged cost are byte-identical to the fault-free simulator, which the
-golden-trace tests pin.
+machine sends through its perfect link: the trace and every charged cost
+are byte-identical to the fault-free simulator, which the golden-trace
+tests pin.
 
 See DESIGN.md §"Fault model" for the taxonomy and accounting contract.
 """

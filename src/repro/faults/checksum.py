@@ -18,7 +18,7 @@ final machine state equal to the fault-free run).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 from zlib import crc32
 
 import numpy as np
@@ -29,18 +29,19 @@ __all__ = [
     "payload_wire_data",
     "payload_checksum",
     "corrupt_payload",
+    "verify_frame",
 ]
 
 
 class CorruptFrameError(RuntimeError):
     """A received frame failed checksum verification.
 
-    Raised by :meth:`repro.machine.machine.Machine.receive` when a message
-    consumed from a mailbox does not match the checksum computed at send
-    time.  Under the machine's reliable-delivery protocol corrupt frames
-    are NACKed and retransmitted before they reach a mailbox, so seeing
-    this means something tampered with a payload *after* delivery — the
-    share-nothing discipline was violated.
+    Raised by :func:`verify_frame` when a message consumed from a mailbox
+    does not match the checksum computed at send time.  The
+    reliable-delivery protocol NACKs and retransmits corrupt frames
+    before they reach a mailbox, so seeing this means something tampered
+    with a payload *after* delivery — the share-nothing discipline was
+    violated.
     """
 
 
@@ -72,6 +73,28 @@ def payload_checksum(payload: Any) -> int | None:
     if data is None:
         return None
     return wire_checksum(data)
+
+
+def verify_frame(
+    frame: Any, phase: Any, charge: Callable[[int, Any, str], Any]
+) -> None:
+    """The receiver's CRC check of a popped frame (a ``Message``).
+
+    Only the reliable-delivery path stamps a checksum, so other frames
+    pass unchecked.  The scan is one op per element, charged through
+    ``charge(n_ops, phase, label)`` when ``phase`` is given; a mismatch
+    raises :class:`CorruptFrameError` naming the physical destination.
+    ``Machine.receive`` and the rank tasks' ``open_frame`` both call it.
+    """
+    if frame.checksum is None:
+        return
+    if phase is not None:
+        charge(frame.n_elements, phase, "checksum-verify")
+    if payload_checksum(frame.payload) != frame.checksum:
+        raise CorruptFrameError(
+            f"rank {frame.dst}: frame seq={frame.seq} tag={frame.tag!r} failed "
+            "checksum verification after delivery"
+        )
 
 
 def corrupt_payload(payload: Any, rng: np.random.Generator) -> Any | None:

@@ -7,11 +7,12 @@ the *exact* same fault sequence on the exact same run, which the
 determinism tests pin (same seed ⇒ identical trace and identical charged
 costs).
 
-The injector is transport-agnostic: it never touches payloads or the
-trace itself.  :class:`~repro.machine.machine.Machine` asks it questions
-(:meth:`attempt_outcome`, :meth:`should_duplicate`,
-:meth:`reorder_insert`, :meth:`slowdown_factor`) and does the actual
-charging, corruption, delivery and retrying.
+The injector only decides; it never touches payloads or the trace.
+:class:`~repro.faults.link.ReliableLink`, the machine's wire under a
+fault plan, asks it the questions (:meth:`attempt_outcome`,
+:meth:`should_duplicate`, :meth:`reorder_insert`,
+:meth:`slowdown_factor`, :meth:`rank_failed`) in a fixed order and does
+the charging, corruption, delivery, retrying and detection.
 
 Per-processor state (slowdown factors, transient-crash budgets) is
 sampled *up front* in :meth:`bind`, in rank order, so those draws do not
@@ -28,11 +29,6 @@ from .spec import FaultSpec
 from .stats import FaultStats
 
 __all__ = ["Attempt", "FaultInjector"]
-
-#: rank the injector uses for "the host" in crash/slowdown tables — the
-#: host never crashes in this model (it owns the global array), but the
-#: constant keeps dict keys honest if that ever changes.
-_HOST = -1
 
 
 class Attempt(enum.Enum):
@@ -77,7 +73,7 @@ class FaultInjector:
     def bind(self, n_procs: int) -> None:
         """Sample per-processor state for a machine of ``n_procs`` ranks.
 
-        Called by the machine at attach time.  Draws happen in rank order
+        Called by the machine's link at attach time.  Draws happen in rank order
         (slowdowns first, then crash budgets) so per-processor fates are
         independent of later traffic.
         """
@@ -122,7 +118,7 @@ class FaultInjector:
             self.bind(self._bound_procs)
 
     # ------------------------------------------------------------------
-    # per-message decisions (called by the machine, in traffic order)
+    # per-message decisions (called by the link, in traffic order)
     # ------------------------------------------------------------------
     def next_seq(self) -> int:
         """A fresh message sequence number (duplicate detection)."""

@@ -24,25 +24,17 @@ what every processor ends up holding, and all charged quantities are
 derived from the actual buffers built — never from the closed-form
 formulas being validated.
 
-Reliable delivery (fault mode)
-------------------------------
-Attaching a :class:`~repro.faults.injector.FaultInjector` switches every
-send onto an ack/retry/timeout protocol (DESIGN.md §"Fault model"):
-
-* each attempt — original or resend — is charged the full
-  ``T_Startup + m·T_Data·hops`` message cost to the sender's timeline;
-* a failed attempt (drop, checksum-detected corruption, crashed receiver)
-  additionally charges the retry policy's exponential-backoff timeout as a
-  ``RETRY`` event and is recorded as a ``FAULT`` event;
-* delivered frames carry a sequence number (duplicate suppression) and a
-  CRC-32 checksum of their wire image; duplicates are discarded at the
-  receiver, reordered frames are inserted out of order in the mailbox;
-* failures per message are capped at ``retry.max_retries``, after which
-  delivery is forced — fault plans are eventually-delivered by contract,
-  so the final machine state always equals the fault-free run's.
-
-With ``faults=None`` (the default) none of this code runs: the trace and
-all charged costs are byte-identical to the fault-free simulator.
+The link
+--------
+Every frame crosses one link object.  The default :class:`PerfectLink`
+is the paper's interconnect: a send is charged and delivered, nothing
+fails, slows down or dies.  Attaching a
+:class:`~repro.faults.injector.FaultInjector` swaps in
+:class:`~repro.faults.link.ReliableLink`, which owns the whole fault-mode
+wire: the ack/retry/backoff protocol, fail-stop detection, the dead-rank
+guard, duplicate suppression and per-rank slowdowns (DESIGN.md
+§"Reliable-delivery protocol").  The machine never tests for faults
+itself, so a fault-free run's trace and charged costs are the paper's.
 
 Rank map (recovery)
 -------------------
@@ -57,6 +49,7 @@ texts and the executor session always see physical ranks.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -71,7 +64,54 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
     from ..obs.spans import Observability
 
-__all__ = ["Machine", "HOST", "DeadRankError"]
+__all__ = ["Machine", "HOST", "DeadRankError", "PerfectLink"]
+
+
+class PerfectLink:
+    """The paper's interconnect: every frame arrives intact, once, in order.
+
+    The machine calls its link for each send, each dead-rank guard, each
+    processor op's slowdown, each receive's frame check, and at reset.
+    Here a send is charged ``T_Startup + m·T_Data·hops`` to ``actor`` and
+    delivered, and everything else is a no-op.  Ranks are physical.
+    """
+
+    def __init__(self, machine: "Machine") -> None:
+        # a proxy, not a reference: the machine owns its link, and a
+        # strong reference back would leave every dropped machine (and
+        # the arrays its processors hold) to the cyclic collector
+        self.machine: Machine = weakref.proxy(machine)
+
+    def send(
+        self, src: int, dst: int, payload: Any, n_elements: int, phase: Phase,
+        tag: str, hops: int, *, actor: int,
+    ) -> float:
+        m = self.machine
+        t = m._charge_message(phase, actor, src, dst, n_elements, tag, hops)
+        msg = Message(src=src, dst=dst, tag=tag, payload=payload, n_elements=n_elements)
+        if dst == HOST:
+            m.host_mailbox.append(msg)
+        else:
+            m.procs[dst].deliver(msg)
+        return t
+
+    def check(self, rank: int) -> None:
+        """Dead-rank guard: no rank dies on a perfect link."""
+
+    def slowdown(self, rank: int) -> float:
+        return 1.0
+
+    def verify(self, msg: Message, phase: Phase | None) -> None:
+        """Frames on a perfect link carry no checksum to verify."""
+
+    def confirm_failure(self, rank: int, phase: Phase) -> float:
+        raise ValueError("confirm_failure needs an attached fault injector")
+
+    def reset(self) -> None:
+        pass
+
+    def summary(self) -> dict[str, dict[str, int]] | None:
+        return None
 
 
 class Machine:
@@ -91,9 +131,10 @@ class Machine:
         heterogeneous speeds back the speed-aware-partitioning ablation.
     faults:
         Optional :class:`~repro.faults.injector.FaultInjector`.  When
-        attached, all sends go through the reliable-delivery protocol
-        (see module docstring); when ``None`` the machine is the exact
-        fault-free simulator.
+        attached, every frame crosses a
+        :class:`~repro.faults.link.ReliableLink` over it (see the module
+        docstring); when ``None`` the link is a :class:`PerfectLink` and
+        the machine is the exact fault-free simulator.
     backend:
         Kernel backend name (``"python"`` | ``"numpy"``) the schemes and
         apps run their hot paths on while driving this machine; ``None``
@@ -179,10 +220,14 @@ class Machine:
         self.host_mailbox: list[Message] = []
         self.trace = TraceLog()
         self.faults = faults
-        #: sequence numbers the host has accepted (duplicate suppression)
-        self._host_seen_seqs: set[int] = set()
-        if self.faults is not None:
-            self.faults.bind(n_procs)
+        #: the wire every frame crosses (see the module docstring)
+        self.link: PerfectLink
+        if faults is None:
+            self.link = PerfectLink(self)
+        else:
+            from ..faults.link import ReliableLink
+
+            self.link = ReliableLink(self, faults)
         if obs is None:
             from ..obs.spans import NULL_OBS
 
@@ -216,14 +261,13 @@ class Machine:
         if rank in self._ghosts:
             return self.charge_host_ops(n_ops, phase, label=f"ghost-{label}")
         rank = self.physical(rank)
-        self._check_not_failed(rank)
+        self.link.check(rank)
         return self._charge_proc(rank, n_ops, phase, label)
 
     def _charge_proc(self, rank: int, n_ops: int, phase: Phase, label: str) -> float:
         """:meth:`charge_proc_ops` on a checked physical ``rank``."""
         t = self.cost.ops_time(n_ops) / self.proc_speeds[rank]
-        if self.faults is not None:
-            t *= self.faults.slowdown_factor(rank)
+        t *= self.link.slowdown(rank)
         self.trace.record(
             Event(phase, EventKind.OPS, rank, t, quantity=int(n_ops), label=label)
         )
@@ -242,33 +286,6 @@ class Machine:
             )
         )
         return t
-
-    def _record_fault(
-        self, phase: Phase, actor: int, src: int, dst: int, quantity: int,
-        label: str,
-    ) -> None:
-        """Record a zero-time ``FAULT`` event (drop, corrupt, detection…)."""
-        self.trace.record(
-            Event(
-                phase, EventKind.FAULT, actor, 0.0,
-                quantity=int(quantity), label=label, src=src, dst=dst,
-            )
-        )
-
-    def _charge_retry(
-        self, phase: Phase, actor: int, src: int, dst: int, attempt: int,
-        label: str,
-    ) -> float:
-        """Charge attempt ``attempt``'s backoff timeout as a ``RETRY`` event."""
-        assert self.faults is not None
-        backoff = self.faults.spec.retry.backoff_ms(attempt)
-        self.trace.record(
-            Event(
-                phase, EventKind.RETRY, actor, backoff,
-                quantity=attempt, label=label, src=src, dst=dst,
-            )
-        )
-        return backoff
 
     # ------------------------------------------------------------------
     # communication
@@ -290,9 +307,8 @@ class Machine:
         share-nothing discipline is the scheme author's responsibility and
         is checked by the test suite's aliasing tests.
 
-        In fault mode the send goes through the reliable-delivery
-        protocol; the returned time then covers all attempts plus backoff
-        waits.
+        Under a fault plan the returned time covers every attempt and
+        backoff wait of the reliable-delivery protocol.
         """
         if dst in self._ghosts:
             if src != HOST and src in self._ghosts:
@@ -313,25 +329,9 @@ class Machine:
         if n_elements < 0:
             raise ValueError(f"n_elements must be non-negative, got {n_elements}")
         hops = max(self.topology.hops(src, dst), 1)
-        # a self-send never touches the interconnect, so there is nothing
-        # for the injector to drop, corrupt, duplicate or reorder (p=1)
-        if self.faults is not None:
-            if src != HOST:
-                self._check_not_failed(src)  # dead nodes send nothing
-            if src != dst:
-                if not self.membership.is_alive(dst):
-                    # the host already paid the detection timeouts for
-                    # this rank; addressing it again is a programming
-                    # error in the recovery layer, surfaced for free.
-                    raise DeadRankError(dst, detected=True)
-                return self._reliable_transmit(
-                    src, dst, payload, n_elements, phase, tag, hops, actor=src
-                )
-        t = self._charge_message(phase, src, src, dst, n_elements, tag, hops)
-        self.procs[dst].deliver(
-            Message(src=src, dst=dst, tag=tag, payload=payload, n_elements=n_elements)
+        return self.link.send(
+            src, dst, payload, n_elements, phase, tag, hops, actor=src
         )
-        return t
 
     def send_to_host(
         self,
@@ -360,229 +360,36 @@ class Machine:
         if n_elements < 0:
             raise ValueError(f"n_elements must be non-negative, got {n_elements}")
         hops = max(self.topology.hops(src, HOST), 1)
-        if self.faults is not None:
-            self._check_not_failed(src)  # dead nodes send nothing
-            return self._reliable_transmit(
-                src, HOST, payload, n_elements, phase, tag, hops, actor=HOST
-            )
-        t = self._charge_message(phase, HOST, src, HOST, n_elements, tag, hops)
-        self.host_mailbox.append(
-            Message(src=src, dst=HOST, tag=tag, payload=payload, n_elements=n_elements)
+        return self.link.send(
+            src, HOST, payload, n_elements, phase, tag, hops, actor=HOST
         )
-        return t
-
-    # ------------------------------------------------------------------
-    # reliable delivery (fault mode only)
-    # ------------------------------------------------------------------
-    def _deliver(self, msg: Message, insert_at: int | None = None) -> bool:
-        """Hand a frame to its destination mailbox; False = duplicate."""
-        if msg.dst == HOST:
-            if msg.seq >= 0 and msg.seq in self._host_seen_seqs:
-                return False
-            if msg.seq >= 0:
-                self._host_seen_seqs.add(msg.seq)
-            if insert_at is None:
-                self.host_mailbox.append(msg)
-            else:
-                self.host_mailbox.insert(insert_at, msg)
-            return True
-        return self.procs[msg.dst].deliver(msg, insert_at=insert_at)
-
-    def _mailbox_len(self, dst: int) -> int:
-        return len(self.host_mailbox if dst == HOST else self.procs[dst].mailbox)
-
-    def _reliable_transmit(
-        self,
-        src: int,
-        dst: int,
-        payload: Any,
-        n_elements: int,
-        phase: Phase,
-        tag: str,
-        hops: int,
-        *,
-        actor: int,
-    ) -> float:
-        """Send with ack/retry/timeout semantics (see module docstring).
-
-        ``actor`` is the rank whose timeline advances — the sender for
-        host→processor traffic, the host for gather traffic (it receives
-        serially), matching the fault-free accounting.  Returns the total
-        time charged: every attempt costs the full message time, every
-        failure adds its exponential-backoff timeout.
-
-        When observability is enabled the whole ack/retry/backoff cycle
-        is wrapped in one ``machine.reliable_send`` span (never entered
-        on the golden paths — fault-free sends bypass this method).
-        """
-        from ..obs.spans import actor_label
-
-        with self.obs.span(
-            "machine.reliable_send",
-            phase=phase.value,
-            src=actor_label(src),
-            dst=actor_label(dst),
-            tag=tag,
-        ):
-            return self._reliable_attempts(
-                src, dst, payload, n_elements, phase, tag, hops, actor=actor
-            )
-
-    def _reliable_attempts(
-        self,
-        src: int,
-        dst: int,
-        payload: Any,
-        n_elements: int,
-        phase: Phase,
-        tag: str,
-        hops: int,
-        *,
-        actor: int,
-    ) -> float:
-        """The attempt loop behind :meth:`_reliable_transmit`."""
-        from ..faults.checksum import corrupt_payload, payload_checksum
-        from ..faults.injector import Attempt
-
-        inj = self.faults
-        assert inj is not None
-        seq = inj.next_seq()
-        cksum = payload_checksum(payload)
-        corruptible = cksum is not None and n_elements > 0
-        policy = inj.spec.retry
-        total = 0.0
-        attempt = 0
-        missed_acks = 0   # consecutive attempts swallowed by a dead rank
-        t_detect = 0.0    # time charged for those missed-ack attempts
-        while True:
-            attempt += 1
-            t = self._charge_message(phase, actor, src, dst, n_elements, tag, hops)
-            inj.stats.count(phase, "attempts")
-            if dst != HOST and inj.rank_failed(dst):
-                # Fail-stop: the destination is permanently dead.  The
-                # frame goes onto the wire (full message cost), no ack
-                # ever comes back (backoff timeout), and — unlike every
-                # transient fault — delivery is never forced.  After
-                # ``detect_after`` missed acks the host declares the rank
-                # dead and the failure surfaces as DeadRankError.
-                self._record_fault(
-                    phase, actor, src, dst, n_elements, Attempt.FAILSTOP.value
-                )
-                backoff = self._charge_retry(phase, actor, src, dst, attempt, tag)
-                total += t + backoff
-                t_detect += t + backoff
-                missed_acks += 1
-                inj.stats.count(phase, "failstop_drops")
-                inj.stats.count(phase, "retries")
-                if missed_acks >= inj.spec.fail_stop.detect_after:
-                    self._declare_dead(
-                        dst, phase, missed_acks=missed_acks, time_ms=t_detect
-                    )
-                    raise DeadRankError(
-                        dst,
-                        detected=True,
-                        missed_acks=missed_acks,
-                        time_charged=total,
-                    )
-                continue
-            total += t
-            forced = attempt > policy.max_retries
-            outcome = (
-                Attempt.DELIVER
-                if forced
-                else inj.attempt_outcome(dst, corruptible=corruptible)
-            )
-            if outcome is Attempt.CORRUPT:
-                # the frame physically arrives bit-flipped; the receiving
-                # NIC recomputes the CRC, sees the mismatch and NACKs.
-                damaged = corrupt_payload(payload, inj.rng)
-                if damaged is None or payload_checksum(damaged) == cksum:
-                    outcome = Attempt.DELIVER  # nothing corruptible after all
-                else:
-                    inj.stats.count(phase, "corruptions")
-            if outcome is Attempt.DROP:
-                inj.stats.count(phase, "drops")
-            elif outcome is Attempt.CRASH:
-                inj.stats.count(phase, "crash_drops")
-            if outcome is not Attempt.DELIVER:
-                self._record_fault(phase, actor, src, dst, n_elements, outcome.value)
-                total += self._charge_retry(phase, actor, src, dst, attempt, tag)
-                inj.stats.count(phase, "retries")
-                continue
-            if forced:
-                inj.stats.count(phase, "forced")
-            msg = Message(
-                src=src,
-                dst=dst,
-                tag=tag,
-                payload=payload,
-                n_elements=n_elements,
-                seq=seq,
-                checksum=cksum,
-            )
-            insert_at = inj.reorder_insert(self._mailbox_len(dst))
-            if insert_at is not None:
-                inj.stats.count(phase, "reorders")
-                self._record_fault(phase, actor, src, dst, n_elements, "reorder")
-            self._deliver(msg, insert_at)
-            if dst != HOST:
-                # a doomed rank counts accepted frames towards its
-                # fail-stop budget; once it hits after_accepts it is dead
-                # for all subsequent traffic (this frame dies with it).
-                inj.record_accept(dst)
-            # the network may duplicate the delivered frame; the copy
-            # occupies the wire again and is discarded at the receiver.
-            if inj.should_duplicate():
-                total += self._charge_message(
-                    phase, actor, src, dst, n_elements, tag, hops
-                )
-                inj.stats.count(phase, "attempts")
-                accepted = self._deliver(msg, None)
-                if not accepted:
-                    inj.stats.count(phase, "duplicates")
-                    self._record_fault(
-                        phase, actor, src, dst, n_elements, "duplicate"
-                    )
-            return total
 
     def receive(
         self, rank: int, tag: str | None = None, *, phase: Phase | None = None
     ) -> Message:
         """Pop processor ``rank``'s oldest message, verifying its checksum.
 
-        Fault-free machines simply forward to the processor's mailbox —
-        no extra events, no behaviour change.  In fault mode the receiver
-        additionally verifies the frame's CRC-32 against its wire image
-        (one scan op per element, charged to ``phase`` when given) and
-        raises :class:`~repro.faults.checksum.CorruptFrameError` on a
-        mismatch — which the reliable-delivery protocol guarantees never
-        happens unless someone mutated a delivered payload.
+        The link checks the frame; a perfect link has nothing to check.
+        Under a fault plan the receiver verifies the frame's CRC-32
+        against its wire image (one scan op per element, charged to
+        ``phase`` when given) and raises
+        :class:`~repro.faults.checksum.CorruptFrameError` on a mismatch,
+        which the reliable-delivery protocol guarantees never happens
+        unless someone mutated a delivered payload.
         """
         msg = self._pop_frame(rank, tag)
-        if self.faults is not None and msg.checksum is not None:
-            from ..faults.checksum import CorruptFrameError, payload_checksum
-
-            # a checksummed frame crossed the wire to physical rank msg.dst
-            # (ghost frames carry no checksum: nothing to verify)
-            if phase is not None:
-                self._charge_proc(
-                    msg.dst, msg.n_elements, phase, label="checksum-verify"
-                )
-            if payload_checksum(msg.payload) != msg.checksum:
-                raise CorruptFrameError(
-                    f"rank {msg.dst}: frame seq={msg.seq} tag={msg.tag!r} failed "
-                    "checksum verification after delivery"
-                )
+        self.link.verify(msg, phase)
         return msg
 
     def _pop_frame(self, rank: int, tag: str | None = None) -> Message:
         """Pop ``rank``'s oldest message *without* checksum verification.
 
-        The rank-pool half of :meth:`receive`: the pool wraps the popped
-        message into a wire frame and the executor's task performs the
-        verification (and its charge) receiver-side, so the combined
-        behaviour — guards, charge, error text — matches :meth:`receive`
-        exactly.  Scheme code uses :meth:`receive` or a pool, never this.
+        The rank-pool half of :meth:`receive`: the pool ships the popped
+        message to the rank task, which performs the verification (and
+        its charge) receiver-side through the same
+        :func:`~repro.faults.checksum.verify_frame`, so guards, charge and
+        error text match :meth:`receive` exactly.  Scheme code uses
+        :meth:`receive` or a pool, never this.
         """
         return self.processor(rank).receive(tag)
 
@@ -601,37 +408,8 @@ class Machine:
         )
 
     # ------------------------------------------------------------------
-    # fail-stop detection and membership (fault mode only)
+    # fail-stop detection and membership
     # ------------------------------------------------------------------
-    def _check_not_failed(self, rank: int) -> None:
-        """Simulator guard: code cannot run on / talk from a dead node.
-
-        Raises :class:`DeadRankError` with ``detected`` reflecting whether
-        the host has already paid for the knowledge.  No-op on fault-free
-        machines and for live ranks.
-        """
-        if self.faults is not None and self.faults.rank_failed(rank):
-            raise DeadRankError(
-                rank, detected=not self.membership.is_alive(rank)
-            )
-
-    def _declare_dead(
-        self, rank: int, phase: Phase, *, missed_acks: int, time_ms: float
-    ) -> None:
-        """Record a completed detection: epoch bump + trace event + wipe."""
-        inj = self.faults
-        if inj is not None:
-            inj.stats.count(phase, "detections")
-        self.membership.declare_dead(
-            rank, phase=phase.value, missed_acks=missed_acks, time_ms=time_ms
-        )
-        self._record_fault(phase, HOST, HOST, rank, missed_acks, "fail-stop-detect")
-        self.obs.record_detection(rank, missed_acks, time_ms)
-        # the node is gone: everything it held or had queued dies with it
-        self.procs[rank].reset()
-        if self._exec_session is not None:
-            self._exec_session.kill_rank(rank)
-
     def confirm_failure(self, rank: int, phase: Phase) -> float:
         """Heartbeat-probe a suspected-dead rank until the detect threshold.
 
@@ -642,35 +420,13 @@ class Machine:
         plus the retry policy's backoff — and only then declares the rank
         dead.  Returns the total time charged (0.0 if already declared).
         ``rank`` is physical, like the membership and :class:`DeadRankError`.
+        The probes are the link's: a perfect link has no dead rank to probe.
         """
         if not 0 <= rank < len(self.procs):
             raise ValueError(f"rank {rank} out of range for p={len(self.procs)}")
         if not self.membership.is_alive(rank):
             return 0.0
-        inj = self.faults
-        if inj is None:
-            raise ValueError("confirm_failure needs an attached fault injector")
-        if not inj.rank_failed(rank):
-            raise ValueError(f"rank {rank} is alive; nothing to confirm")
-        fs = inj.spec.fail_stop
-        hops = max(self.topology.hops(HOST, rank), 1)
-        total = 0.0
-        with self.obs.span(
-            "machine.confirm_failure", phase=phase.value, rank=str(rank)
-        ):
-            for attempt in range(1, fs.detect_after + 1):
-                t = self._charge_message(phase, HOST, HOST, rank, 0, "heartbeat", hops)
-                backoff = self._charge_retry(
-                    phase, HOST, HOST, rank, attempt, "heartbeat"
-                )
-                total += t + backoff
-                inj.stats.count(phase, "attempts")
-                inj.stats.count(phase, "heartbeats")
-                inj.stats.count(phase, "retries")
-            self._declare_dead(
-                rank, phase, missed_acks=fs.detect_after, time_ms=total
-            )
-        return total
+        return self.link.confirm_failure(rank, phase)
 
     def purge_mailboxes(self, tag: str | None = None) -> int:
         """Drop undelivered frames from every mailbox (host included).
@@ -681,21 +437,10 @@ class Machine:
         read).  Returns how many frames were discarded.
         """
         dropped = 0
-        for proc in self.procs:
-            if tag is None:
-                dropped += len(proc.mailbox)
-                proc.mailbox.clear()
-            else:
-                keep = [m for m in proc.mailbox if m.tag != tag]
-                dropped += len(proc.mailbox) - len(keep)
-                proc.mailbox[:] = keep
-        if tag is None:
-            dropped += len(self.host_mailbox)
-            self.host_mailbox.clear()
-        else:
-            keep = [m for m in self.host_mailbox if m.tag != tag]
-            dropped += len(self.host_mailbox) - len(keep)
-            self.host_mailbox[:] = keep
+        for box in [*(proc.mailbox for proc in self.procs), self.host_mailbox]:
+            keep = [] if tag is None else [m for m in box if m.tag != tag]
+            dropped += len(box) - len(keep)
+            box[:] = keep
         return dropped
 
     # ------------------------------------------------------------------
@@ -832,7 +577,7 @@ class Machine:
         if rank in self._ghosts:
             return self._ghosts[rank]
         rank = self.physical(rank)
-        self._check_not_failed(rank)
+        self.link.check(rank)
         return self.procs[rank]
 
     def reset(self) -> None:
@@ -852,21 +597,17 @@ class Machine:
             p.reset()
         self.host_memory.clear()
         self.host_mailbox.clear()
-        self._host_seen_seqs.clear()
         self.trace = TraceLog()
         self.obs = NULL_OBS
         self.membership.reset()
         self.remap()
-        if self.faults is not None:
-            self.faults.reset()
+        self.link.reset()
         if self._exec_session is not None:
             self._exec_session.reset()
 
     def fault_summary(self) -> dict[str, dict[str, int]] | None:
         """Per-phase fault counters, or ``None`` on a fault-free machine."""
-        if self.faults is None:
-            return None
-        return self.faults.stats.summary()
+        return self.link.summary()
 
     def supervisor_summary(self):
         """The executor session's real-fault record, or ``None``.

@@ -13,13 +13,15 @@ an earlier membership view is never mixed into a newer one.
 
 :class:`DeadRankError` is how death surfaces to running scheme/app code:
 
-* raised by the reliable-delivery protocol once detection completes
+* raised by the reliable-delivery protocol
+  (:class:`~repro.faults.link.ReliableLink`) once detection completes
   (``detected=True`` — the timeouts were just charged);
-* raised by the simulator guards (``Machine.receive`` /
+* raised by the link's dead-rank guard (``Machine.receive`` /
   ``charge_proc_ops`` / ``processor`` on a dead rank) with
   ``detected=False`` — the node physically cannot run code, but the host
   has not yet paid to learn it died; callers must route through
-  :meth:`Machine.confirm_failure` before acting on the knowledge.
+  :meth:`Machine.confirm_failure` (the link's heartbeat probes) before
+  acting on the knowledge.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ arrives through :meth:`deliver`.  Scheme code running "on" a processor is
 ordinary Python that only touches that processor's memory — the machine
 enforces the discipline, the cost model charges the time.
 
-Reliable-delivery support (used only when a
-:class:`~repro.faults.injector.FaultInjector` is attached to the machine):
-messages carry a sequence number and a wire checksum; :meth:`deliver`
+Reliable-delivery support (used only by
+:class:`~repro.faults.link.ReliableLink`, the machine's wire under a fault
+plan): messages carry a sequence number and a wire checksum; :meth:`deliver`
 discards duplicate sequence numbers (the receiver side of at-least-once
 delivery) and can insert a frame out of order to model network reordering.
 Fault-free messages keep ``seq = -1`` and skip all of that.
@@ -31,7 +31,7 @@ class Message:
     suppression (``-1`` = unsequenced, fault-free traffic) and
     ``checksum`` is the CRC-32 of the payload's wire image computed at
     send time (``None`` when the payload has no wire image or faults are
-    off).
+    off).  A popped message is also the frame a rank task opens.
     """
 
     src: int

@@ -83,8 +83,8 @@ def run_scheme(
     run's executor session: real worker crashes and hangs are then healed
     by restart-and-replay (degrading to the inline sim executor once the
     budget is spent) and reported in ``result.supervisor_summary``.  Only
-    meaningful with the process executor; ``None`` inherits the
-    supervision layer's default (``REPRO_SUPERVISE``, else off).
+    meaningful with the process executor; ``None`` inherits an enclosing
+    :func:`~repro.exec.use_supervision` scope, else runs unsupervised.
     """
     method = partition if isinstance(partition, PartitionMethod) else get_partition(partition)
     if plan is None:

@@ -146,8 +146,8 @@ class RunRequest:
     backend: str | None = None
     #: executor ("sim" | "process"); None = the executor layer's default
     executor: str | None = None
-    #: real-fault supervision spec; None = the supervision layer's
-    #: default (REPRO_SUPERVISE, else off).  Process executor only.
+    #: real-fault supervision spec; None = an enclosing
+    #: use_supervision scope, else off.  Process executor only.
     supervise: "SuperviseSpec | None" = None
 
     def partition_method(self) -> PartitionMethod:
@@ -484,8 +484,8 @@ class RunSession:
                 # bound to this run's fresh trace only (one recorder per run)
                 machine.obs = obs
                 obs.attach(machine)
-            # use_supervision(None) is a no-op scope: the ambient default
-            # (REPRO_SUPERVISE) stays in force
+            # use_supervision(None) is a no-op scope: an enclosing
+            # use_supervision scope stays in force
             with use_supervision(request.supervise):
                 if request.recovery is not None:
                     if injector is None:

@@ -167,37 +167,43 @@ def test_obs_snapshot_identical():
 
 def test_error_positions_identical():
     """A task-level error (corrupt frame surviving to the receiver) must
-    carry the same message and leave the same trace under both executors.
+    carry the same message and leave the same trace under both executors,
+    and ``Machine.receive`` must check the frame the same way.
 
     The reliable-delivery protocol normally retries corruption away, so
     the delivered frame is tampered with directly — the one case where
-    the receiver-side CRC check fires.
+    the receiver-side CRC check fires.  The SFC receiver task verifies
+    its frame in the distribution phase, so the direct receive does too.
     """
     from repro.faults import CorruptFrameError
     from repro.machine.trace import Phase
 
     outs = []
-    for executor in ("sim", "process"):
+    for executor in ("sim", "process", "receive"):
         machine = Machine(
             2, cost=sp2_cost_model(),
             faults=FaultInjector(FaultSpec.lossy(0.0), seed=1),
-            executor=executor,
+            executor=None if executor == "receive" else executor,
         )
         try:
             block = np.arange(16, dtype=np.float64).reshape(4, 4)
             machine.send(0, block, 16, Phase.DISTRIBUTION, tag="dense-block")
             machine.procs[0].mailbox[0].payload[0, 0] += 1.0  # break the CRC
-            pool = machine.rank_pool()
-            pool.submit(
-                0, "sfc.compress", Phase.COMPRESSION,
-                frame=pool.take_frame(0, "dense-block"), kind="crs",
-            )
             with pytest.raises(CorruptFrameError) as excinfo:
-                pool.result(0)
+                if executor == "receive":
+                    machine.receive(0, "dense-block", phase=Phase.DISTRIBUTION)
+                else:
+                    pool = machine.rank_pool()
+                    pool.submit(
+                        0, "sfc.compress", Phase.COMPRESSION,
+                        frame=pool.take_frame(0, "dense-block"), kind="crs",
+                    )
+                    pool.result(0)
             outs.append((str(excinfo.value), trace_to_dict(machine.trace)))
         finally:
             machine.shutdown()
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
+    assert "checksum-verify" in str(outs[2][1])
 
 
 def test_executor_selection_surfaces(monkeypatch):

@@ -116,11 +116,10 @@ class TestSuperviseSpec:
 
 
 # ----------------------------------------------------------------------
-# selection (scope > default > environment)
+# selection (an explicit scope, else off)
 # ----------------------------------------------------------------------
 class TestSelection:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
+    def test_off_by_default(self):
         assert current_supervision() is None
         sess = get_executor("process").create_session(2)
         assert isinstance(sess, ProcessSession)
@@ -139,27 +138,6 @@ class TestSelection:
         with use_supervision(spec):
             with use_supervision(None):
                 assert current_supervision() == spec
-
-    def test_process_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERVISE", "1")
-        assert current_supervision() == SuperviseSpec()
-        # an explicit scope still wins over the environment default
-        with use_supervision(SuperviseSpec(max_restarts=1)):
-            assert current_supervision().max_restarts == 1
-        monkeypatch.delenv("REPRO_SUPERVISE")
-        assert current_supervision() is None
-
-    def test_env_on_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERVISE", "1")
-        assert current_supervision() == SuperviseSpec()
-        monkeypatch.setenv("REPRO_SUPERVISE", "off")
-        assert current_supervision() is None
-
-    def test_env_spec_path(self, monkeypatch, tmp_path):
-        path = tmp_path / "sup.json"
-        path.write_text('{"max_restarts": 4}')
-        monkeypatch.setenv("REPRO_SUPERVISE", str(path))
-        assert current_supervision().max_restarts == 4
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for the simulated multicomputer."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -114,3 +117,23 @@ class TestLifecycle:
 
     def test_repr(self, machine):
         assert "p=4" in repr(machine)
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_dropped_machine_is_freed_at_once(self, faulty):
+        # the machine owns its link; a link that referenced the machine
+        # strongly would leave every dropped machine, and the arrays its
+        # processors hold, to the cyclic collector
+        from repro.faults import FaultInjector, FaultSpec
+
+        injector = FaultInjector(FaultSpec.lossy(0.1), seed=1) if faulty else None
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m = Machine(2, faults=injector)
+            m.send(0, np.arange(4.0), 4, Phase.DISTRIBUTION)
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
